@@ -129,12 +129,16 @@ BENCH_HOT = BenchmarkExecuteFindUser|BenchmarkFig12ExecutionStrategies|Benchmark
 
 # bench runs the hot benchmarks once with allocation stats and records
 # the raw run — newline-delimited test2json events, including every
-# ns/op / B/op / allocs/op line — as the perf-trajectory artifact
-# BENCH_5.json (compare against BENCH_4.json for the version envelope's
-# overhead on Get/Put p99 and FindUser allocs/op).
+# ns/op / B/op / allocs/op line — as the next perf-trajectory artifact:
+# BENCH_<N>.json, one past the highest N already present, so an earlier
+# run is never overwritten. It prints the name it chose; compare the new
+# file against the previous one. A failed run leaves no file behind.
 bench:
-	$(GO) test -run xxx -bench '$(BENCH_HOT)' -benchtime 1x -benchmem -v -json . > BENCH_5.json
-	@grep -oE '(Benchmark[A-Za-z]+)?[^"]*allocs/op' BENCH_5.json | sed 's/\\t/  /g' || true
+	@n=$$(ls BENCH_*.json 2>/dev/null | sed -nE 's/^BENCH_([0-9]+)\.json$$/\1/p' | sort -n | tail -1); \
+	out=BENCH_$$(( $${n:-0} + 1 )).json; \
+	echo "make bench: writing $$out"; \
+	$(GO) test -run xxx -bench '$(BENCH_HOT)' -benchtime 1x -benchmem -v -json . > $$out || { rm -f $$out; exit 1; }; \
+	grep -oE '(Benchmark[A-Za-z]+)?[^"]*allocs/op' $$out | sed 's/\\t/  /g' || true
 
 # bench-smoke is the short-mode gate inside ci: the cheapest hot
 # benchmark, enough to catch an executor hot path that stopped compiling

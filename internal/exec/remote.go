@@ -336,12 +336,7 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	case Parallel:
 		// All K per-key scans concurrently, each itself scatter-gathering
 		// across the partitions its range spans.
-		fns := make([]func(*kvstore.Client), len(scans))
-		for i := range scans {
-			i := i
-			fns[i] = func(sub *kvstore.Client) { fetch(sub, i, true) }
-		}
-		e.ctx.Client.Parallel(fns...)
+		e.ctx.Client.Parallel(len(scans), func(sub *kvstore.Client, i int) { fetch(sub, i, true) })
 	default:
 		// Lazy and Simple both issue the per-key requests sequentially;
 		// Lazy additionally fetches tuple by tuple.

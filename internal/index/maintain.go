@@ -443,34 +443,12 @@ func entryKeysFor(ixs []*schema.Index, t *schema.Table, row value.Row) [][]byte 
 
 // putEntries writes entry keys concurrently.
 func putEntries(cl *kvstore.Client, keys [][]byte) {
-	if len(keys) <= 1 {
-		for _, k := range keys {
-			cl.Put(k, nil)
-		}
-		return
-	}
-	fns := make([]func(*kvstore.Client), len(keys))
-	for i, k := range keys {
-		k := k
-		fns[i] = func(sub *kvstore.Client) { sub.Put(k, nil) }
-	}
-	cl.Parallel(fns...)
+	cl.Parallel(len(keys), func(sub *kvstore.Client, i int) { sub.Put(keys[i], nil) })
 }
 
 // deleteEntries removes entry keys concurrently.
 func deleteEntries(cl *kvstore.Client, keys [][]byte) {
-	if len(keys) <= 1 {
-		for _, k := range keys {
-			cl.Delete(k)
-		}
-		return
-	}
-	fns := make([]func(*kvstore.Client), len(keys))
-	for i, k := range keys {
-		k := k
-		fns[i] = func(sub *kvstore.Client) { sub.Delete(k) }
-	}
-	cl.Parallel(fns...)
+	cl.Parallel(len(keys), func(sub *kvstore.Client, i int) { sub.Delete(keys[i]) })
 }
 
 // Backfill builds a newly created secondary index from the existing

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"piql/internal/sim"
@@ -20,9 +19,10 @@ import (
 //
 // A Client is not safe for concurrent use — its op counter and RNG are
 // unsynchronized by design, keeping the per-operation hot path free of
-// atomics. Spawn one Client per goroutine/session (the Parallel method
-// creates children automatically); the Cluster behind them is safe for
-// any number of concurrent Clients, including while it rebalances.
+// atomics. Spawn one Client per goroutine/session (on a simulated
+// client, Parallel gives each branch its own child); the Cluster behind
+// them is safe for any number of concurrent Clients, including while it
+// rebalances.
 //
 // Every operation claims one routing-table snapshot for its duration.
 // Reads route through the snapshot (old owners keep serving a range
@@ -54,13 +54,13 @@ type Client struct {
 	lastErr error
 
 	// Scratch reused across operations to keep the per-request hot path
-	// allocation-lean. Safe because a Client is single-goroutine and the
-	// scratch is only read (never written) while Parallel children run.
+	// allocation-lean. Safe because a Client is single-goroutine and
+	// multiGet's Parallel branches only read the scratch, whether they run
+	// on simulated children or (immediate mode) on this client itself.
 	byNode map[int][]int // multiGet: unique-key indexes grouped by node
 	ids    []int         // multiGet: deterministic node order
 	order  []int         // multiGet: key indexes sorted for deduplication
 	dups   []int         // multiGet: flattened (dup, first) index pairs
-	subs   []*Client     // fanOut goroutine children, reused across calls
 }
 
 // NewClient creates a client. proc may be nil for immediate mode.
@@ -81,9 +81,8 @@ func (cl *Client) SetReadQuorum(r int) { cl.readQuorum = r }
 
 // noteErr records a degraded-operation error on this chain's root
 // client. The first error wins (it is usually the root cause); TakeErr
-// clears it. Recording on the root lets Parallel children surface
-// through their parent; fanOut goroutine children are detached and
-// merged after the join instead.
+// clears it. Recording on the root lets simulated Parallel children
+// surface through their parent.
 func (cl *Client) noteErr(err error) {
 	r := cl
 	for r.parent != nil {
@@ -108,7 +107,8 @@ func (cl *Client) TakeErr() error {
 }
 
 // Ops returns the number of storage operations issued through this client
-// since creation (including operations issued by Parallel children).
+// since creation (including operations issued by simulated Parallel
+// children).
 func (cl *Client) Ops() int64 { return cl.ops }
 
 // ResetOps zeroes the operation counter and returns the previous value.
@@ -404,8 +404,9 @@ func (cl *Client) ReadRepair(key []byte) ([]byte, bool) {
 }
 
 // MultiGet fetches several keys in one batched request per node, with
-// the per-node requests issued in parallel — the Parallel executor's
-// fast path. Repeated keys are deduplicated (fetched once, fanned out to
+// the per-node requests issued in parallel on a simulated client (one
+// after another on an immediate one) — the Parallel executor's fast
+// path. Repeated keys are deduplicated (fetched once, fanned out to
 // every requesting position). Missing keys yield nil entries.
 func (cl *Client) MultiGet(keys [][]byte) [][]byte {
 	return cl.multiGet(keys, true)
@@ -486,18 +487,7 @@ func (cl *Client) multiGet(keys [][]byte, parallel bool) [][]byte {
 		}
 		cl.byNode[id] = append(cl.byNode[id], rep)
 	}
-	fetch := func(sub *Client, id int, idxs []int) {
-		bytesTotal := 0
-		for _, i := range idxs {
-			v, ok := cl.c.nodes[id].get(keys[i])
-			if ok {
-				out[i] = v
-				bytesTotal += len(v)
-			}
-		}
-		sub.visit(id, len(idxs), bytesTotal)
-	}
-	// Deterministic node order for both modes.
+	// Deterministic node order for both strategies.
 	cl.ids = cl.ids[:0]
 	for id, idxs := range cl.byNode {
 		if len(idxs) > 0 {
@@ -505,22 +495,31 @@ func (cl *Client) multiGet(keys [][]byte, parallel bool) [][]byte {
 		}
 	}
 	sortInts(cl.ids)
-	if len(cl.ids) == 1 || cl.proc == nil || !parallel {
-		for _, id := range cl.ids {
-			fetch(cl, id, cl.byNode[id])
-		}
+	if parallel {
+		cl.Parallel(len(cl.ids), func(sub *Client, i int) { cl.fetchBatch(sub, cl.ids[i], keys, out) })
 	} else {
-		fns := make([]func(*Client), len(cl.ids))
-		for i, id := range cl.ids {
-			id := id
-			fns[i] = func(sub *Client) { fetch(sub, id, cl.byNode[id]) }
+		for _, id := range cl.ids {
+			cl.fetchBatch(cl, id, keys, out)
 		}
-		cl.Parallel(fns...)
 	}
 	for j := 0; j < len(cl.dups); j += 2 {
 		out[cl.dups[j]] = out[cl.dups[j+1]]
 	}
 	return out
+}
+
+// fetchBatch serves multiGet's batch for node id through sub, filling
+// out at the batch's key indexes.
+func (cl *Client) fetchBatch(sub *Client, id int, keys, out [][]byte) {
+	idxs := cl.byNode[id]
+	bytesTotal := 0
+	for _, i := range idxs {
+		if v, ok := cl.c.nodes[id].get(keys[i]); ok {
+			out[i] = v
+			bytesTotal += len(v)
+		}
+	}
+	sub.visit(id, len(idxs), bytesTotal)
 }
 
 // Put stores value under key on every replica (parallel in simulated
@@ -666,22 +665,10 @@ func (cl *Client) writeUnder(rt *routing, key, env []byte) {
 		cl.doubleApply(mv, key, env, ids[:1])
 		return
 	}
-	if cl.proc == nil || len(ids) == 1 {
-		for _, id := range ids {
-			cl.c.applyOrQueue(id, key, env)
-			cl.visit(id, 1, len(key))
-		}
-	} else {
-		var fns []func(*Client)
-		for _, id := range ids {
-			id := id
-			fns = append(fns, func(sub *Client) {
-				cl.c.applyOrQueue(id, key, env)
-				sub.visit(id, 1, len(key))
-			})
-		}
-		cl.Parallel(fns...)
-	}
+	cl.Parallel(len(ids), func(sub *Client, i int) {
+		cl.c.applyOrQueue(ids[i], key, env)
+		sub.visit(ids[i], 1, len(key))
+	})
 	cl.doubleApply(mv, key, env, ids)
 }
 
@@ -976,11 +963,9 @@ func (cl *Client) getRangeOn(rt *routing, req RangeRequest, pick func(p int) int
 // per-partition round trips instead of their sum, at one storage
 // operation per intersecting partition. With a single partition it
 // falls back to the sequential early-stopping walk. In immediate mode
-// the fan-out runs on real goroutines (one per partition, detached
-// child clients whose op counts merge back after the join), so
-// non-simulated backends get the same intra-operator parallelism the
-// virtual-time path models — previously immediate mode silently fell
-// back to the sequential walk.
+// the per-partition scans run one after another on the caller (see
+// Parallel) but keep the scatter's shape: every intersecting partition
+// is scanned, so results and operation counts match simulated mode.
 func (cl *Client) GetRangeScatter(req RangeRequest) []KV {
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
@@ -996,24 +981,19 @@ func (cl *Client) GetRangeScatter(req RangeRequest) []KV {
 			cl.noteErr(cl.c.downErr(rt.owners[p]))
 		}
 	}
-	fns := make([]func(*Client), hi-lo+1)
-	for p := lo; p <= hi; p++ {
-		p := p
-		if ids[p-lo] < 0 {
-			fns[p-lo] = func(*Client) {} // unreachable partition: degraded result
-			continue
+	cl.Parallel(len(ids), func(sub *Client, i int) {
+		id, p := ids[i], lo+i
+		if id < 0 {
+			return // unreachable partition: degraded result
 		}
-		fns[p-lo] = func(sub *Client) {
-			kvs := cl.c.nodes[ids[p-lo]].scan(boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), req.Limit, req.Reverse)
-			payload := 0
-			for _, kv := range kvs {
-				payload += len(kv.Value)
-			}
-			sub.visit(ids[p-lo], max(1, len(kvs)), payload)
-			parts[p-lo] = kvs
+		kvs := cl.c.nodes[id].scan(boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), req.Limit, req.Reverse)
+		payload := 0
+		for _, kv := range kvs {
+			payload += len(kv.Value)
 		}
-	}
-	cl.fanOut(fns...)
+		sub.visit(id, max(1, len(kvs)), payload)
+		parts[i] = kvs
+	})
 	var out []KV
 	if req.Reverse {
 		for i := len(parts) - 1; i >= 0; i-- {
@@ -1032,44 +1012,32 @@ func (cl *Client) GetRangeScatter(req RangeRequest) []KV {
 
 // CountRange returns the number of keys in [start, end), walking all
 // partitions intersecting the range. This backs cardinality-constraint
-// enforcement (Section 7.2). In simulated mode the per-partition counts
-// are gathered concurrently (counts are additive, so merge order is
-// irrelevant), making the write path's constraint check cost one round
-// trip instead of one per partition.
+// enforcement (Section 7.2). On a simulated client the per-partition
+// counts are gathered in parallel (counts are additive, so merge order
+// is irrelevant), making the write path's constraint check cost one
+// round trip instead of one per partition; an immediate client gathers
+// them one after another.
 func (cl *Client) CountRange(start, end []byte) int {
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
 	lo, hi := rt.rangeParts(start, end)
-	countPartition := func(sub *Client, p, id int) int {
-		n := cl.c.nodes[id].count(boundedStart(rt, p, start), boundedEnd(rt, p, end))
-		sub.visit(id, max(1, n), 0)
-		return n
-	}
-	total := 0
-	if cl.proc == nil || lo == hi {
-		for p := lo; p <= hi; p++ {
-			id := cl.pickReplica(rt, p)
-			if id < 0 {
-				cl.noteErr(cl.c.downErr(rt.owners[p]))
-				continue
-			}
-			total += countPartition(cl, p, id)
-		}
-		return total
-	}
-	counts := make([]int, hi-lo+1)
-	fns := make([]func(*Client), hi-lo+1)
+	ids := make([]int, hi-lo+1)
 	for p := lo; p <= hi; p++ {
-		p := p
-		id := cl.pickReplica(rt, p)
-		if id < 0 {
+		ids[p-lo] = cl.pickReplica(rt, p) // parent RNG: deterministic draw order
+		if ids[p-lo] < 0 {
 			cl.noteErr(cl.c.downErr(rt.owners[p]))
-			fns[p-lo] = func(*Client) {}
-			continue
 		}
-		fns[p-lo] = func(sub *Client) { counts[p-lo] = countPartition(sub, p, id) }
 	}
-	cl.Parallel(fns...)
+	counts := make([]int, len(ids))
+	cl.Parallel(len(ids), func(sub *Client, i int) {
+		id, p := ids[i], lo+i
+		if id < 0 {
+			return // unreachable partition: degraded count
+		}
+		counts[i] = cl.c.nodes[id].count(boundedStart(rt, p, start), boundedEnd(rt, p, end))
+		sub.visit(id, max(1, counts[i]), 0)
+	})
+	total := 0
 	for _, n := range counts {
 		total += n
 	}
@@ -1102,66 +1070,29 @@ func boundedEnd(rt *routing, p int, end []byte) []byte {
 	return end
 }
 
-// fanOut runs fns concurrently even in immediate mode: simulated
-// clients defer to Parallel (virtual-time children), immediate clients
-// spawn one real goroutine per fn over detached child clients and merge
-// their operation counts into this client's chain after the join (the
-// detachment keeps the per-op counter walk in countOp race-free while
-// the goroutines run). The children are scratch, pooled on the parent
-// and reused across calls like the other per-op buffers. Callers must
-// pre-draw any RNG decisions — the fns must not touch cl.rng.
-func (cl *Client) fanOut(fns ...func(sub *Client)) {
-	if cl.proc != nil {
-		cl.Parallel(fns...)
-		return
-	}
-	for len(cl.subs) < len(fns) {
-		cl.subs = append(cl.subs, &Client{c: cl.c, rng: rand.New(rand.NewSource(cl.rng.Int63())), id: cl.id})
-	}
-	var wg sync.WaitGroup
-	for i, fn := range fns {
-		sub := cl.subs[i]
-		sub.ops = 0
-		sub.lastErr = nil
-		wg.Add(1)
-		//lint:allow goroleak — fan-out children are wg-joined before fanOut returns; fn is the caller's sub-operation and shares its lifetime.
-		go func(sub *Client, fn func(*Client)) {
-			defer wg.Done()
-			fn(sub)
-		}(sub, fn)
-	}
-	wg.Wait()
-	for _, sub := range cl.subs[:len(fns)] {
-		for p := cl; p != nil; p = p.parent {
-			p.ops += sub.ops
-		}
-		if sub.lastErr != nil {
-			cl.noteErr(sub.lastErr)
-			sub.lastErr = nil
-		}
-	}
-}
-
-// Parallel runs fns concurrently (virtual-time children sharing this
-// client's op counter) and returns when all complete. In immediate mode
-// the functions run sequentially.
-func (cl *Client) Parallel(fns ...func(sub *Client)) {
-	if cl.proc == nil {
-		for _, fn := range fns {
-			fn(cl.child(nil))
+// Parallel runs fn(sub, i) for every i in [0, n) and returns when all
+// have completed — the client's one fan-out primitive. On a simulated
+// client with n > 1 the branches run concurrently in virtual time, each
+// on a child client whose RNG is seeded from this client's in branch
+// order and whose op counts roll up into this client. Otherwise (n <= 1,
+// or immediate mode) fn(cl, i) runs on this client itself in index
+// order: no child, no reseeded RNG, no goroutine.
+func (cl *Client) Parallel(n int, fn func(sub *Client, i int)) {
+	if n <= 1 || cl.proc == nil {
+		for i := 0; i < n; i++ {
+			fn(cl, i)
 		}
 		return
 	}
-	wrapped := make([]func(*sim.Proc), len(fns))
-	for i, fn := range fns {
-		fn := fn
-		wrapped[i] = func(p *sim.Proc) { fn(cl.child(p)) }
+	branches := make([]func(*sim.Proc), n)
+	for i := range branches {
+		branches[i] = func(p *sim.Proc) { fn(cl.child(p), i) }
 	}
-	cl.proc.Parallel(wrapped...)
+	cl.proc.Parallel(branches...)
 }
 
-// child derives a client for a parallel branch, with its own RNG stream
-// but op counts rolled up into the parent.
+// child derives a client for a simulated parallel branch, with its own
+// RNG stream but op counts rolled up into the parent.
 func (cl *Client) child(proc *sim.Proc) *Client {
 	return &Client{
 		c:          cl.c,

@@ -189,16 +189,14 @@ func Train(cfg TrainConfig) (*Model, error) {
 
 						// SortedJoin(αc, αj, β): αc parallel bounded ranges.
 						for _, alphaJ := range cfg.AlphaJs {
-							fns := make([]func(*kvstore.Client), alpha)
-							for i := range fns {
-								pfx := calPrefix(beta, false, rng.Intn(shallowPrefixes))
-								aj := alphaJ
-								fns[i] = func(sub *kvstore.Client) {
-									sub.GetRange(kvstore.RangeRequest{Start: pfx, End: codec.PrefixEnd(pfx), Limit: aj, Reverse: true})
-								}
+							pfxs := make([][]byte, alpha)
+							for i := range pfxs {
+								pfxs[i] = calPrefix(beta, false, rng.Intn(shallowPrefixes))
 							}
 							t0 = p.Now()
-							cl.Parallel(fns...)
+							cl.Parallel(alpha, func(sub *kvstore.Client, i int) {
+								sub.GetRange(kvstore.RangeRequest{Start: pfxs[i], End: codec.PrefixEnd(pfxs[i]), Limit: alphaJ, Reverse: true})
+							})
 							histFor(gridKey{kind: KindSortedJoin, alpha: alpha, alphaJ: alphaJ, beta: beta}, interval).Add(p.Now() - t0)
 						}
 					}
