@@ -398,6 +398,33 @@ func TestGetRangeScatterImmediateMode(t *testing.T) {
 	}
 }
 
+// TestGetRangeScatterImmediateConcurrentClients: many immediate-mode
+// clients scatter wide ranges at once, under -race; each must see its
+// full limit of keys.
+func TestGetRangeScatterImmediateConcurrentClients(t *testing.T) {
+	c, loader := newImmediate(6, 2)
+	for i := 0; i < 600; i++ {
+		loader.Put(key(i), val(i))
+	}
+	c.Rebalance()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cl := c.NewClient(nil)
+			for i := 0; i < 50; i++ {
+				kvs := cl.GetRangeScatter(RangeRequest{Start: key(g * 10), End: key(g*10 + 300), Limit: 40})
+				if len(kvs) != 40 {
+					t.Errorf("client %d: got %d kvs, want 40", g, len(kvs))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestReplicaNodesIntoMatches: the allocation-free routing variant must
 // agree with the allocating one and actually not allocate.
 func TestReplicaNodesIntoMatches(t *testing.T) {

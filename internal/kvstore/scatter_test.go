@@ -225,12 +225,11 @@ func TestMultiGetMissingAndEmpty(t *testing.T) {
 
 // TestScatterConcurrentClients drives many goroutines (one client each,
 // immediate mode) through the range, count, and multi-get paths at once
-// — the -race gate for the shared cluster structures behind the
-// scatter/dedup code. The range shapes are a short span with a tight
-// limit and a 300-key span that crosses several partitions.
+// — the -race gate for the shared cluster structures behind the new
+// scatter/dedup code.
 func TestScatterConcurrentClients(t *testing.T) {
 	c, loader := newImmediate(6, 2)
-	for i := 0; i < 600; i++ {
+	for i := 0; i < 300; i++ {
 		loader.Put(key(i), val(i))
 	}
 	c.Rebalance()
@@ -245,10 +244,6 @@ func TestScatterConcurrentClients(t *testing.T) {
 				kvs := cl.GetRangeScatter(RangeRequest{Start: key(lo), End: key(lo + 40), Limit: 10})
 				if len(kvs) != 10 {
 					t.Errorf("goroutine %d: got %d kvs, want 10", g, len(kvs))
-					return
-				}
-				if kvs := cl.GetRangeScatter(RangeRequest{Start: key(g * 10), End: key(g*10 + 300), Limit: 40}); len(kvs) != 40 {
-					t.Errorf("goroutine %d: got %d kvs over the wide span, want 40", g, len(kvs))
 					return
 				}
 				if n := cl.CountRange(key(lo), key(lo+40)); n != 40 {
