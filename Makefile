@@ -123,28 +123,34 @@ chaos:
 chaos-faults:
 	$(GO) test -race -run 'TestChaosSurvivesKillRestartMidRebalance|TestChaosSurvivesPartitionedReplica|TestLeaseExpiryUnwedgesTestAndSet|TestQuorumReadBoundsStaleness|TestAsyncCatchUpKillRestartInterleaving|TestReadRepairLaggedThenKilledReplica|TestErrorChainsRoundTrip|TestRetryableClassification|TestDegradedReadSurfacesRetryable' ./internal/...
 
-# The hot-path benchmarks tracked across PRs: raw engine overhead,
-# the three execution strategies, and concurrent-session throughput.
-BENCH_HOT = BenchmarkExecuteFindUser|BenchmarkFig12ExecutionStrategies|BenchmarkConcurrentSessions
+# The hot-path benchmarks tracked across PRs: raw engine overhead (a
+# point lookup and the thoughtstream SortedIndexJoin), the three
+# execution strategies, and concurrent-session throughput.
+BENCH_HOT = BenchmarkExecuteFindUser|BenchmarkExecuteThoughtstream|BenchmarkFig12ExecutionStrategies|BenchmarkConcurrentSessions
 
-# bench runs the hot benchmarks once with allocation stats and records
-# the raw run — newline-delimited test2json events, including every
-# ns/op / B/op / allocs/op line — as the next perf-trajectory artifact:
-# BENCH_<N>.json, one past the highest N already present, so an earlier
-# run is never overwritten. It prints the name it chose; compare the new
-# file against the previous one. A failed run leaves no file behind.
+# bench runs the hot benchmarks five times each (-count 5, the default
+# one-second benchtime) with allocation stats and records the raw run
+# as the next perf-trajectory artifact: BENCH_<N>.json, one past the
+# highest N already present, so an earlier run is never overwritten.
+# Its first line is {"git_sha", "nproc"}, the SHA suffixed -dirty when
+# the tree has uncommitted changes; the rest are newline-delimited
+# test2json events, including every ns/op / B/op / allocs/op line, the
+# CPU model `go test` prints and GOMAXPROCS as the -N suffix on each
+# benchmark name. It prints the name it chose; compare the new file
+# against the previous one. A failed run leaves no file behind.
 bench:
 	@n=$$(ls BENCH_*.json 2>/dev/null | sed -nE 's/^BENCH_([0-9]+)\.json$$/\1/p' | sort -n | tail -1); \
 	out=BENCH_$$(( $${n:-0} + 1 )).json; \
 	echo "make bench: writing $$out"; \
-	$(GO) test -run xxx -bench '$(BENCH_HOT)' -benchtime 1x -benchmem -v -json . > $$out || { rm -f $$out; exit 1; }; \
+	printf '{"git_sha":"%s","nproc":%s}\n' "$$(git describe --always --dirty --abbrev=40 2>/dev/null || echo unknown)" "$$(nproc)" > $$out; \
+	$(GO) test -run xxx -bench '$(BENCH_HOT)' -count 5 -benchmem -v -json . >> $$out || { rm -f $$out; exit 1; }; \
 	grep -oE '(Benchmark[A-Za-z]+)?[^"]*allocs/op' $$out | sed 's/\\t/  /g' || true
 
-# bench-smoke is the short-mode gate inside ci: the cheapest hot
-# benchmark, enough to catch an executor hot path that stopped compiling
-# or regressed to pathological allocation.
+# bench-smoke is the short-mode gate inside ci: the two cheapest hot
+# benchmarks, enough to catch an executor hot path that stopped
+# compiling or regressed to pathological allocation.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkExecuteFindUser' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkExecuteFindUser|BenchmarkExecuteThoughtstream' -benchtime 100x -benchmem .
 
 # bench-all runs every paper figure benchmark plus the concurrent-session
 # throughput benchmarks once.

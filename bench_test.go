@@ -259,4 +259,41 @@ func BenchmarkExecuteFindUser(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteThoughtstream measures end-to-end execution of the
+// paper's thoughtstream query in immediate mode: a SortedIndexJoin over
+// 10 followed users with 10 thoughts each, under a LIMIT 10 stop.
+func BenchmarkExecuteThoughtstream(b *testing.B) {
+	db := Open(Config{Nodes: 4})
+	db.MustExec(`CREATE TABLE users (username VARCHAR(20), PRIMARY KEY (username))`)
+	db.MustExec(`CREATE TABLE subscriptions (owner VARCHAR(20), target VARCHAR(20), approved BOOLEAN,
+		PRIMARY KEY (owner, target), FOREIGN KEY (target) REFERENCES users, CARDINALITY LIMIT 100 (owner))`)
+	db.MustExec(`CREATE TABLE thoughts (owner VARCHAR(20), timestamp INT, text VARCHAR(140), PRIMARY KEY (owner, timestamp))`)
+	db.MustExec(`INSERT INTO users VALUES ('reader')`)
+	for u := 0; u < 10; u++ {
+		name := fmt.Sprintf("u%02d", u)
+		db.MustExec(`INSERT INTO users VALUES (?)`, Str(name))
+		db.MustExec(`INSERT INTO subscriptions VALUES ('reader', ?, true)`, Str(name))
+		for i := 0; i < 10; i++ {
+			db.MustExec(`INSERT INTO thoughts VALUES (?, ?, 'a thought of moderate length')`, Str(name), Int(int64(1000+i*10+u)))
+		}
+	}
+	q, err := db.Prepare(`SELECT thoughts.* FROM subscriptions s JOIN thoughts
+		WHERE thoughts.owner = s.target AND s.owner = ? AND s.approved = true
+		ORDER BY thoughts.timestamp DESC LIMIT 10`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := q.Execute(Str("reader"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 10 {
+			b.Fatalf("got %d rows, want 10", len(res.Rows))
+		}
+	}
+}
+
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

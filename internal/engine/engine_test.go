@@ -702,6 +702,43 @@ func TestGCDanglingEntries(t *testing.T) {
 	}
 }
 
+// TestPKInListRepeatedKeys: a primary-key IN list naming a key twice,
+// as a literal or through equal parameters, returns that row once.
+func TestPKInListRepeatedKeys(t *testing.T) {
+	_, s := newTestEngine(t, 3)
+	for _, u := range []string{"a", "b", "c"} {
+		if err := s.Exec(`INSERT INTO users VALUES (?, 'pw', 'SF')`, value.Str(u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		sql    string
+		params []value.Value
+		want   []string
+	}{
+		{sql: `SELECT username FROM users WHERE username IN ('a', 'a', 'b')`, want: []string{"a", "b"}},
+		{sql: `SELECT username FROM users WHERE username IN ('b', 'a', 'b', 'a')`, want: []string{"b", "a"}},
+		{sql: `SELECT username FROM users WHERE username IN (?, ?)`, params: []value.Value{value.Str("c"), value.Str("c")}, want: []string{"c"}},
+		{sql: `SELECT username FROM users WHERE username IN (?, ?, ?)`, params: []value.Value{value.Str("a"), value.Str("c"), value.Str("a")}, want: []string{"a", "c"}},
+	}
+	for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
+		s.SetStrategy(strat)
+		for _, tc := range cases {
+			res, err := s.Query(tc.sql, tc.params...)
+			if err != nil {
+				t.Fatalf("%v %s: %v", strat, tc.sql, err)
+			}
+			var got []string
+			for _, row := range res.Rows {
+				got = append(got, row[0].S)
+			}
+			if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+				t.Errorf("%v %s %v: got %v, want %v", strat, tc.sql, tc.params, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestPrepareRejectsUnbounded(t *testing.T) {
 	_, s := newTestEngine(t, 3)
 	_, err := s.Prepare(`SELECT * FROM thoughts WHERE text = 'x'`)

@@ -2,10 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"piql/internal/exec"
+	"piql/internal/index"
 	"piql/internal/kvstore"
 	"piql/internal/value"
 )
@@ -295,4 +298,157 @@ func TestSortedJoinDerefIsBatchedAcrossStreams(t *testing.T) {
 	if k3 != 5 || k5 != 7 {
 		t.Fatalf("ops(K=3)=%d ops(K=5)=%d, want 5 and 7: request count must grow by K, not 2K", k3, k5)
 	}
+}
+
+// TestSortedJoinMergeEquivalence pins the SortedIndexJoin merge order:
+// the joined output must equal each followed user's rows in
+// subscription-target order, stable-sorted on the ORDER BY key. The
+// streams tie on the sort column across followed users, so the tie
+// order (lowest stream first) is visible. Every LIMIT n must return the
+// first n rows of that reference, and a paginated cursor whose page
+// boundary falls inside a run of ties must concatenate to it. One shape
+// joins over the primary index (thoughts); the other over a secondary
+// index holding a dangling entry (articles).
+func TestSortedJoinMergeEquivalence(t *testing.T) {
+	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 6}, nil)
+	eng := New(cluster)
+	s := eng.Session(nil)
+	for _, ddl := range []string{
+		`CREATE TABLE users (username VARCHAR(20), PRIMARY KEY (username))`,
+		`CREATE TABLE subscriptions (owner VARCHAR(20), target VARCHAR(20), approved BOOLEAN,
+			PRIMARY KEY (owner, target), FOREIGN KEY (target) REFERENCES users, CARDINALITY LIMIT 100 (owner))`,
+		`CREATE TABLE thoughts (owner VARCHAR(20), timestamp INT, text VARCHAR(140),
+			PRIMARY KEY (owner, timestamp))`,
+		`CREATE TABLE articles (id VARCHAR(20), author VARCHAR(20), ts INT, title VARCHAR(60),
+			PRIMARY KEY (id), CARDINALITY LIMIT 20 (author))`,
+	} {
+		if err := s.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Targets in subscription (primary-key) order, each with distinct
+	// timestamps; the runs at 10, 7, 5 and 2 tie across targets.
+	targets := []string{"t1", "t2", "t3", "t4"}
+	stamps := map[string][]int64{
+		"t1": {10, 8, 7, 5, 3},
+		"t2": {10, 9, 7, 5, 2},
+		"t3": {10, 8, 7, 4, 2},
+		"t4": {9, 7, 5, 1},
+	}
+	// The dangling article is its stream's last, so a per-key limit never
+	// cuts a live row off in favour of it.
+	const dangling = "a-t2-02"
+	type ref struct {
+		id string
+		ts int64
+	}
+	var thoughtsRef, articlesRef []ref
+	for _, tg := range targets {
+		if err := s.Exec(`INSERT INTO users VALUES (?)`, value.Str(tg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Exec(`INSERT INTO subscriptions VALUES ('u00', ?, true)`, value.Str(tg)); err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range stamps[tg] {
+			id := fmt.Sprintf("a-%s-%02d", tg, ts)
+			if err := s.Exec(`INSERT INTO thoughts VALUES (?, ?, ?)`, value.Str(tg), value.Int(ts), value.Str(id)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Exec(`INSERT INTO articles VALUES (?, ?, ?, 'title')`, value.Str(id), value.Str(tg), value.Int(ts)); err != nil {
+				t.Fatal(err)
+			}
+			thoughtsRef = append(thoughtsRef, ref{id, ts})
+			if id != dangling {
+				articlesRef = append(articlesRef, ref{id, ts})
+			}
+		}
+	}
+	ids := func(r []ref) []string {
+		sort.SliceStable(r, func(a, b int) bool { return r[a].ts > r[b].ts })
+		out := make([]string, len(r))
+		for i := range r {
+			out[i] = r[i].id
+		}
+		return out
+	}
+
+	shapes := []struct {
+		name string
+		sql  string // %s takes the LIMIT or PAGINATE clause
+		want []string
+	}{
+		{
+			name: "primary",
+			sql: `SELECT thoughts.text FROM subscriptions s JOIN thoughts
+			      WHERE thoughts.owner = s.target AND s.owner = 'u00' AND s.approved = true
+			      ORDER BY thoughts.timestamp DESC %s`,
+			want: ids(thoughtsRef),
+		},
+		{
+			name: "secondary",
+			sql: `SELECT a.id FROM subscriptions s JOIN articles a
+			      WHERE a.author = s.target AND s.owner = 'u00' AND s.approved = true
+			      ORDER BY a.ts DESC %s`,
+			want: ids(articlesRef),
+		},
+	}
+	prepare := func(sql string) *Prepared {
+		t.Helper()
+		q, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if expl := q.Plan().Explain(); !strings.Contains(expl, "SortedIndexJoin") {
+			t.Fatalf("plan has no SortedIndexJoin:\n%s", expl)
+		}
+		return q
+	}
+	// Build the articles index, then delete one record behind its back.
+	prepare(fmt.Sprintf(shapes[1].sql, "LIMIT 1"))
+	s.Client().Delete(index.RecordKeyFromPK(eng.Catalog().Table("articles"), value.Row{value.Str(dangling)}))
+
+	// A page of 2 ends inside the leading run of three 10s.
+	const page = 2
+	for _, sh := range shapes {
+		for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
+			s.SetStrategy(strat)
+			for n := 1; n <= len(sh.want); n++ {
+				res, err := prepare(fmt.Sprintf(sh.sql, fmt.Sprintf("LIMIT %d", n))).Execute(s)
+				if err != nil {
+					t.Fatalf("%s (%v) LIMIT %d: %v", sh.name, strat, n, err)
+				}
+				if got, want := firstCol(res.Rows), sh.want[:n]; !slices.Equal(got, want) {
+					t.Fatalf("%s (%v) LIMIT %d: got %v, want %v", sh.name, strat, n, got, want)
+				}
+			}
+			cur, err := prepare(fmt.Sprintf(sh.sql, fmt.Sprintf("PAGINATE %d", page))).Paginate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var paged []string
+			for !cur.Done() && len(paged) <= len(sh.want) {
+				res, err := cur.Next(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res == nil {
+					break
+				}
+				paged = append(paged, firstCol(res.Rows)...)
+			}
+			if !slices.Equal(paged, sh.want) {
+				t.Fatalf("%s (%v) PAGINATE %d: got %v, want %v", sh.name, strat, page, paged, sh.want)
+			}
+		}
+	}
+}
+
+// firstCol returns each row's first column as a string.
+func firstCol(rows []value.Row) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = row[0].S
+	}
+	return out
 }

@@ -7,7 +7,10 @@
 //
 // Because every compiled plan is statically bounded, operators
 // materialize their (small) outputs; the Rows facade exposes the
-// classic open/next/close iterator interface on top.
+// classic open/next/close iterator interface on top. The one exception
+// to eager decoding is SortedIndexJoin: it merges its fetched streams
+// lazily, decoding a record only when it becomes its stream's head, and
+// under a Stop it builds no more rows than the Stop keeps.
 package exec
 
 import (
@@ -166,7 +169,7 @@ func (e *executor) run(n core.Physical) ([]value.Row, error) {
 	case *core.IndexFKJoin:
 		return e.runFKJoin(n)
 	case *core.SortedIndexJoin:
-		return e.runSortedJoin(n)
+		return e.runSortedJoin(n, 0)
 	case *core.LocalSelection:
 		return e.runSelection(n)
 	case *core.LocalSort:

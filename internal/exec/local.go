@@ -30,9 +30,17 @@ func (e *executor) runSort(n *core.LocalSort) ([]value.Row, error) {
 	return rows, nil
 }
 
-// runStop truncates after K rows.
+// runStop truncates after K rows. A SortedIndexJoin directly below
+// stops its merge after K rows: nothing between the two can drop a row,
+// so the rows it never builds are exactly the ones the Stop would cut.
 func (e *executor) runStop(n *core.LocalStop) ([]value.Row, error) {
-	rows, err := e.run(n.ChildPlan)
+	var rows []value.Row
+	var err error
+	if j, ok := n.ChildPlan.(*core.SortedIndexJoin); ok {
+		rows, err = e.runSortedJoin(j, n.K)
+	} else {
+		rows, err = e.run(n.ChildPlan)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"piql/internal/codec"
@@ -12,7 +14,9 @@ import (
 	"piql/internal/value"
 )
 
-// runPKLookup fetches at most one record per key.
+// runPKLookup fetches at most one record per distinct key: a key an IN
+// list names twice (as a literal or through equal parameters) yields
+// its row once.
 func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
 	e.nextRemoteOrdinal() // PKLookup has no resumable position
 	keys := make([][]byte, 0, len(n.Keys))
@@ -21,7 +25,10 @@ func (e *executor) runPKLookup(n *core.PKLookup) ([]value.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, index.RecordKeyFromPK(n.Table, pk))
+		key := index.RecordKeyFromPK(n.Table, pk)
+		if !slices.ContainsFunc(keys, func(k []byte) bool { return bytes.Equal(k, key) }) {
+			keys = append(keys, key)
+		}
 	}
 	recs := e.getBatch(keys)
 	var rows []value.Row
@@ -275,10 +282,13 @@ func (e *executor) runFKJoin(n *core.IndexFKJoin) ([]value.Row, error) {
 }
 
 // runSortedJoin fetches up to PerKeyLimit pre-sorted matches per child
-// row and merges the streams into the output order. For paginated
-// queries the cursor keeps one resume position per join-key stream —
-// a shared position would skip tied sort values in sibling streams.
-func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
+// row and k-way merges the streams into the output order, stopping after
+// limit rows (0 means all of them). A record is decoded only when it
+// becomes its stream's head, so rows past the limit are never built.
+// For paginated queries the cursor keeps one resume position per
+// join-key stream — a shared position would skip tied sort values in
+// sibling streams.
+func (e *executor) runSortedJoin(n *core.SortedIndexJoin, limit int) ([]value.Row, error) {
 	childRows, err := e.run(n.ChildPlan)
 	if err != nil {
 		return nil, err
@@ -290,6 +300,10 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		prefix     []byte
 		start, end []byte
 		kvs        []kvstore.KV
+		base       int       // position of kvs[0] in recs
+		next       int       // next entry of kvs to decode
+		head       value.Row // decoded row awaiting output; nil when drained
+		last       []byte    // suffix of the last row this page consumed
 	}
 	scans := make([]perKey, len(childRows))
 	for i, row := range childRows {
@@ -353,14 +367,14 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 	// request set. (This used to dereference stream by stream — K
 	// sequential MultiGets after the parallel range fetch, serializing K
 	// round trips; now every operator costs a constant number of trips.)
+	total := 0
+	for i := range scans {
+		scans[i].base = total
+		total += len(scans[i].kvs)
+	}
 	var recs [][]byte // flat across streams, parallel to the scans' kvs
 	if !n.Index.Primary {
-		var keys [][]byte
-		total := 0
-		for _, sc := range scans {
-			total += len(sc.kvs)
-		}
-		keys = make([][]byte, 0, total)
+		keys := make([][]byte, 0, total)
 		for _, sc := range scans {
 			keys, err = appendEntryRecordKeys(keys, n.Index, n.Table, sc.kvs)
 			if err != nil {
@@ -370,88 +384,91 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin) ([]value.Row, error) {
 		recs = e.getBatch(keys)
 	}
 
-	// Materialize joined rows, remembering each row's stream and
-	// entry-key suffix.
-	var joined []value.Row
-	var suffixes [][]byte
-	var stream []int
-	flat := 0 // position in recs
-	for i, sc := range scans {
-		for _, kv := range sc.kvs {
-			rec := kv.Value
+	// advance decodes stream i's next row that passes the residual into
+	// its head, reusing a row the residual rejected.
+	advance := func(i int) error {
+		sc := &scans[i]
+		var row value.Row
+		for sc.next < len(sc.kvs) {
+			rec := sc.kvs[sc.next].Value
 			if !n.Index.Primary {
-				rec = recs[flat]
-				flat++
-				if rec == nil {
-					continue // dangling entry awaiting GC
-				}
+				rec = recs[sc.base+sc.next]
 			}
-			row := e.newRow()
+			sc.next++
+			if rec == nil {
+				continue // dangling entry awaiting GC
+			}
+			if row == nil {
+				row = e.newRow()
+			}
 			copy(row, childRows[i])
 			if err := placeRecord(row, n.TableOffset, rec); err != nil {
-				return nil, err
+				return err
 			}
-			joined = append(joined, row)
-			suffixes = append(suffixes, suffixOf(kv.Key, sc.prefix))
-			stream = append(stream, i)
+			keep, err := e.evalPreds(row, n.Residual)
+			if err != nil {
+				return err
+			}
+			if keep {
+				sc.head = row
+				return nil
+			}
+		}
+		sc.head = nil
+		return nil
+	}
+	for i := range scans {
+		if err := advance(i); err != nil {
+			return nil, err
 		}
 	}
 
-	// Merge into output order.
-	if len(n.MergeSort) > 0 {
-		idx := make([]int, len(joined))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return lessBySortKeys(joined[idx[a]], joined[idx[b]], n.MergeSort)
-		})
-		ordered := make([]value.Row, len(joined))
-		orderedSuffix := make([][]byte, len(joined))
-		orderedStream := make([]int, len(joined))
-		for i, j := range idx {
-			ordered[i] = joined[j]
-			orderedSuffix[i] = suffixes[j]
-			orderedStream[i] = stream[j]
-		}
-		joined, suffixes, stream = ordered, orderedSuffix, orderedStream
+	// Merge: each step emits the smallest head, a tie going to the lowest
+	// stream. Every stream is already in MergeSort order, so this is the
+	// stable sort of the concatenated streams (stream-major order when
+	// MergeSort is empty). The winner's stream advances only when another
+	// row is wanted.
+	if limit <= 0 || limit > total {
+		limit = total
 	}
-	// Residual filtering must compact suffixes and stream in lockstep
-	// with joined: the cursor below indexes all three by output position,
-	// so dropping a row from joined alone would resume the next page at a
-	// stale (earlier) key of the wrong stream.
-	if len(n.Residual) > 0 {
-		outRows, outSuffix, outStream := joined[:0], suffixes[:0], stream[:0]
-		for i, row := range joined {
-			keep, err := e.evalPreds(row, n.Residual)
-			if err != nil {
+	out := make([]value.Row, 0, limit)
+	for len(out) < limit {
+		best := -1
+		for i := range scans {
+			if scans[i].head != nil && (best < 0 || lessBySortKeys(scans[i].head, scans[best].head, n.MergeSort)) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		sc := &scans[best]
+		out = append(out, sc.head)
+		// Cursor state: per stream, the suffix of the last element
+		// consumed by this page.
+		if len(out) <= e.plan.PageSize {
+			sc.last = suffixOf(sc.kvs[sc.next-1].Key, sc.prefix)
+		}
+		if len(out) < limit {
+			if err := advance(best); err != nil {
 				return nil, err
 			}
-			if keep {
-				outRows = append(outRows, row)
-				outSuffix = append(outSuffix, suffixes[i])
-				outStream = append(outStream, stream[i])
-			}
 		}
-		joined, suffixes, stream = outRows, outSuffix, outStream
 	}
-	// Cursor state: per stream, the suffix of the last element consumed
-	// by this page; untouched streams keep their previous position.
+	// Streams this page did not touch keep their previous position.
 	if e.plan.PageSize > 0 {
-		cut := len(joined)
-		if e.plan.PageSize < cut {
-			cut = e.plan.PageSize
-		}
 		next := make(map[string][]byte, len(resume))
 		for k, v := range resume {
 			next[k] = v
 		}
-		for i := 0; i < cut && i < len(stream); i++ {
-			next[string(scans[stream[i]].prefix)] = suffixes[i]
+		for _, sc := range scans {
+			if sc.last != nil {
+				next[string(sc.prefix)] = sc.last
+			}
 		}
 		e.storeResume(ord, encodeStreamResume(next))
 	}
-	return joined, nil
+	return out, nil
 }
 
 // encodeStreamResume serializes per-stream cursor positions.
