@@ -308,7 +308,9 @@ func TestSortedJoinDerefIsBatchedAcrossStreams(t *testing.T) {
 // first n rows of that reference, and a paginated cursor whose page
 // boundary falls inside a run of ties must concatenate to it. One shape
 // joins over the primary index (thoughts); the other over a secondary
-// index holding a dangling entry (articles).
+// index holding a dangling entry and a stale one (articles) — the stale
+// entry, left by an update of the sort column that stopped before
+// deleting it, sits at the record's old position ahead of live rows.
 func TestSortedJoinMergeEquivalence(t *testing.T) {
 	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 6}, nil)
 	eng := New(cluster)
@@ -336,8 +338,9 @@ func TestSortedJoinMergeEquivalence(t *testing.T) {
 		"t4": {9, 7, 5, 1},
 	}
 	// The dangling article is its stream's last, so a per-key limit never
-	// cuts a live row off in favour of it.
-	const dangling = "a-t2-02"
+	// cuts a live row off in favour of it. The stale article moves from
+	// ts 8 to ts 1, the end of its stream, tying with t4's last row.
+	const dangling, stale = "a-t2-02", "a-t1-08"
 	type ref struct {
 		id string
 		ts int64
@@ -359,7 +362,11 @@ func TestSortedJoinMergeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			thoughtsRef = append(thoughtsRef, ref{id, ts})
-			if id != dangling {
+			switch id {
+			case dangling:
+			case stale:
+				articlesRef = append(articlesRef, ref{id, 1})
+			default:
 				articlesRef = append(articlesRef, ref{id, ts})
 			}
 		}
@@ -404,9 +411,22 @@ func TestSortedJoinMergeEquivalence(t *testing.T) {
 		}
 		return q
 	}
-	// Build the articles index, then delete one record behind its back.
+	// Build the articles index, then delete one record behind its back
+	// and move another, putting its old entry back.
 	prepare(fmt.Sprintf(shapes[1].sql, "LIMIT 1"))
-	s.Client().Delete(index.RecordKeyFromPK(eng.Catalog().Table("articles"), value.Row{value.Str(dangling)}))
+	articles := eng.Catalog().Table("articles")
+	s.Client().Delete(index.RecordKeyFromPK(articles, value.Row{value.Str(dangling)}))
+	if err := s.Exec(`UPDATE articles SET ts = 1 WHERE id = ?`, value.Str(stale)); err != nil {
+		t.Fatal(err)
+	}
+	old := value.Row{value.Str(stale), value.Str("t1"), value.Int(8), value.Str("title")}
+	for _, ix := range eng.Catalog().Indexes("articles") {
+		if !ix.Primary {
+			for _, key := range index.EntryKeys(ix, articles, old) {
+				s.Client().Put(key, nil)
+			}
+		}
+	}
 
 	// A page of 2 ends inside the leading run of three 10s.
 	const page = 2

@@ -390,7 +390,8 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin, limit int) ([]value.Ro
 		sc := &scans[i]
 		var row value.Row
 		for sc.next < len(sc.kvs) {
-			rec := sc.kvs[sc.next].Value
+			kv := sc.kvs[sc.next]
+			rec := kv.Value
 			if !n.Index.Primary {
 				rec = recs[sc.base+sc.next]
 			}
@@ -404,6 +405,12 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin, limit int) ([]value.Ro
 			copy(row, childRows[i])
 			if err := placeRecord(row, n.TableOffset, rec); err != nil {
 				return err
+			}
+			// A stale entry (left by a half-completed update) sits at the
+			// record's old sort position; skipping it keeps the stream in
+			// merge order and the record's live entry emits it once.
+			if !n.Index.Primary && !index.ProducesEntry(n.Index, n.Table, row[n.TableOffset:], kv.Key) {
+				continue
 			}
 			keep, err := e.evalPreds(row, n.Residual)
 			if err != nil {
@@ -423,37 +430,52 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin, limit int) ([]value.Ro
 		}
 	}
 
-	// Merge: each step emits the smallest head, a tie going to the lowest
-	// stream. Every stream is already in MergeSort order, so this is the
-	// stable sort of the concatenated streams (stream-major order when
-	// MergeSort is empty). The winner's stream advances only when another
-	// row is wanted.
+	// Merge: a binary min-heap of the live streams, ordered by head and
+	// then by stream, yields the smallest head at each step, a tie going
+	// to the lowest stream. Every stream is already in MergeSort order, so
+	// this is the stable sort of the concatenated streams. With an empty
+	// MergeSort the order is stream-major and the winner stays on top at
+	// constant cost. The winner's stream advances only when another row
+	// is wanted.
+	less := func(a, b int) bool {
+		ha, hb := scans[a].head, scans[b].head
+		if lessBySortKeys(ha, hb, n.MergeSort) {
+			return true
+		}
+		return a < b && !lessBySortKeys(hb, ha, n.MergeSort)
+	}
+	live := make([]int, 0, len(scans))
+	for i := range scans {
+		if scans[i].head != nil {
+			live = append(live, i)
+		}
+	}
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		siftDown(live, i, less)
+	}
 	if limit <= 0 || limit > total {
 		limit = total
 	}
 	out := make([]value.Row, 0, limit)
-	for len(out) < limit {
-		best := -1
-		for i := range scans {
-			if scans[i].head != nil && (best < 0 || lessBySortKeys(scans[i].head, scans[best].head, n.MergeSort)) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sc := &scans[best]
+	for len(out) < limit && len(live) > 0 {
+		sc := &scans[live[0]]
 		out = append(out, sc.head)
 		// Cursor state: per stream, the suffix of the last element
 		// consumed by this page.
 		if len(out) <= e.plan.PageSize {
 			sc.last = suffixOf(sc.kvs[sc.next-1].Key, sc.prefix)
 		}
-		if len(out) < limit {
-			if err := advance(best); err != nil {
-				return nil, err
-			}
+		if len(out) == limit {
+			break
 		}
+		if err := advance(live[0]); err != nil {
+			return nil, err
+		}
+		if sc.head == nil {
+			live[0] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		siftDown(live, 0, less)
 	}
 	// Streams this page did not touch keep their previous position.
 	if e.plan.PageSize > 0 {
@@ -469,6 +491,24 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin, limit int) ([]value.Ro
 		e.storeResume(ord, encodeStreamResume(next))
 	}
 	return out, nil
+}
+
+// siftDown restores the min-heap order of h below position i.
+func siftDown(h []int, i int, less func(a, b int) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // encodeStreamResume serializes per-stream cursor positions.

@@ -8,6 +8,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -118,6 +119,18 @@ func EntryKeys(ix *schema.Index, t *schema.Table, row value.Row) [][]byte {
 		keys = append(keys, key)
 	}
 	return keys
+}
+
+// ProducesEntry reports whether row, a record of t, still produces the
+// entry key ekey of ix. An entry whose record no longer produces it is
+// stale: a half-completed update moved the record away from it.
+func ProducesEntry(ix *schema.Index, t *schema.Table, row value.Row, ekey []byte) bool {
+	for _, key := range EntryKeys(ix, t, row) {
+		if bytes.Equal(key, ekey) {
+			return true
+		}
+	}
+	return false
 }
 
 // entryDesc returns the desc flags of an entry key's components: the

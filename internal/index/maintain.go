@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -550,12 +549,7 @@ func (m *Maintainer) entryDangling(cl *kvstore.Client, ix *schema.Index, t *sche
 	if err != nil {
 		return false, nil
 	}
-	for _, key := range EntryKeys(ix, t, row) {
-		if bytes.Equal(key, ekey) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return !ProducesEntry(ix, t, row, ekey), nil
 }
 
 // VerifyBuildSuspects asserts the build's ghost invariant over the
