@@ -17,30 +17,31 @@ vet:
 	$(GO) vet ./...
 
 # lint is the static gate: formatting, the standard vet analyzers, and
-# the project's own fourteen analyzers (internal/lint) —
+# the project's own twelve analyzers (internal/lint) —
 # routing-snapshot claims, envelope integrity, virtual clock
-# discipline, lease-table swaps, lock-order cycles,
+# discipline (sleeps and wall-clock timers), lock-order cycles,
 # blocking-under-mutex, transient-error taxonomy conformance,
 # goroutine-lifecycle termination (goroleak), release-on-all-exits for
 # mutexes and beginOp/endOp claims (releasepath), the hot-path
 # heap-escape budget (escapebudget), and the three dataflow analyzers
-# built on the def-use core: atomic/plain access mixing (atomicmix),
-# snapshot lifetime escapes (snapshotescape), and cancel-func leak
-# paths (cancelpath). Per-function facts (locks held, may-block, error
-# types, net acquire/release, park risk, atomic fields, acquire-helper
-# results) propagate across packages, so diagnostics here are
-# interprocedural. Suppressions are //lint:allow directives at the
-# annotated site; stale directives are themselves findings. See the
-# "Static analysis" section of README.md.
+# built on the def-use core: atomic/plain access mixing and
+# copy-on-write of atomically published tables, lease tables included
+# (atomicmix), snapshot lifetime escapes (snapshotescape), and
+# cancel-func leak paths (cancelpath). Per-function facts (locks held,
+# may-block, error types, net acquire/release, park risk, atomic
+# fields, acquire-helper results) propagate across packages, so
+# diagnostics here are interprocedural. Suppressions are //lint:allow
+# directives at the annotated site; stale or misnamed directives are
+# themselves findings. See the "Static analysis" section of README.md.
 #
 # The tree-wide run uses -cache: per-package facts and diagnostics are
 # keyed by a content hash (files + dependency facts + tool binary)
 # under bin/lintcache, so a warm `make lint` replays in seconds and
 # any source or tool change invalidates exactly the affected packages.
 # Findings are also written as bin/lint-findings.json (the -json
-# payload, including a "timing" entry recording elapsed time and the
-# analyzed/replayed split — compare a cold run against a warm one),
-# which `make ci` publishes as its lint artifact.
+# payload, which always includes a "timing" entry recording elapsed
+# time and the analyzed/replayed split — compare a cold run against a
+# warm one), which `make ci` publishes as its lint artifact.
 #
 # The escape gate compares `go build -gcflags=-m` attribution against
 # the checked-in escape.budget. After deliberately changing a hot
@@ -50,11 +51,10 @@ vet:
 # other file). Any other value leaves the budget enforced as-is.
 #
 # Without make in the loop:
-#   go run ./cmd/piql-vet -standalone ./...             # from-source, whole module
-#   go run ./cmd/piql-vet -standalone -json ./...       # findings as JSON on stdout
-#   go run ./cmd/piql-vet -standalone -lockgraph ./...  # print the lock hierarchy
-#   go run ./cmd/piql-vet -escapebudget ./...           # escape gate only
-#   go vet -vettool=bin/piql-vet ./...                  # via the go vet driver
+#   go run ./cmd/piql-vet ./...              # from source, whole module
+#   go run ./cmd/piql-vet -json ./...        # findings as JSON on stdout
+#   go run ./cmd/piql-vet -lockgraph ./...   # print the lock hierarchy
+#   go run ./cmd/piql-vet -escapebudget ./...  # escape gate only
 VETTOOL = bin/piql-vet
 ESCAPE_BUDGET ?=
 
@@ -63,7 +63,7 @@ lint:
 		echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
-	$(VETTOOL) -standalone -cache bin/lintcache -timing -json ./... > bin/lint-findings.json || \
+	$(VETTOOL) -cache bin/lintcache -json ./... > bin/lint-findings.json || \
 		{ cat bin/lint-findings.json; exit 1; }
 	@if [ "$(ESCAPE_BUDGET)" = "update" ]; then \
 		echo "$(VETTOOL) -escapebudget -update ./..."; \
@@ -83,7 +83,7 @@ LINT_BASE ?= HEAD
 
 lint-changed:
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
-	$(VETTOOL) -standalone -cache bin/lintcache -changed $(LINT_BASE) ./...
+	$(VETTOOL) -cache bin/lintcache -changed $(LINT_BASE) ./...
 
 build:
 	$(GO) build ./...

@@ -8,253 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"piql/internal/lint"
 )
-
-// TestVersionLine drives the -V=full handshake: go vet hashes the
-// reported buildID for its action cache, so the line must parse and
-// must end in a hex digest.
-func TestVersionLine(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exited %d: %s", code, stderr.String())
-	}
-	line := strings.TrimSpace(stdout.String())
-	i := strings.LastIndex(line, "buildID=")
-	if i < 0 {
-		t.Fatalf("version line missing buildID: %q", line)
-	}
-	digest := line[i+len("buildID="):]
-	if len(digest) != 64 || strings.Trim(digest, "0123456789abcdef") != "" {
-		t.Fatalf("buildID is not a sha256 hex digest: %q", digest)
-	}
-}
-
-// TestFlagsHandshake drives -flags: go vet validates pass-through
-// flags against this JSON before invoking the tool per unit.
-func TestFlagsHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exited %d: %s", code, stderr.String())
-	}
-	var flags []struct {
-		Name string
-		Bool bool
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &flags); err != nil {
-		t.Fatalf("-flags output is not JSON: %v\n%s", err, stdout.String())
-	}
-	if len(flags) == 0 || flags[0].Name != "json" {
-		t.Fatalf("unexpected flag list: %+v", flags)
-	}
-}
-
-// listedPackage is the slice of `go list -json` output the synthetic
-// cfg needs.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-}
-
-// listExport runs `go list -export -deps -json` for pkg and returns
-// every listed package keyed by import path. This is exactly the
-// information the go command hands a vettool in each .cfg: compiler
-// export data for the dependency graph.
-func listExport(t *testing.T, repoRoot, pkg string) map[string]*listedPackage {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles", pkg)
-	cmd.Dir = repoRoot
-	out, err := cmd.Output()
-	if err != nil {
-		stderr := ""
-		if ee, ok := err.(*exec.ExitError); ok {
-			stderr = string(ee.Stderr)
-		}
-		t.Fatalf("go list -export %s: %v\n%s", pkg, err, stderr)
-	}
-	pkgs := map[string]*listedPackage{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		var p listedPackage
-		if err := dec.Decode(&p); err != nil {
-			t.Fatalf("decoding go list output: %v", err)
-		}
-		pkgs[p.ImportPath] = &p
-	}
-	return pkgs
-}
-
-func writeCfg(t *testing.T, dir, name string, cfg *config) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestVettoolProtocolFactsRoundTrip drives the tool through two
-// synthetic .cfg units exactly as `go vet` would: first
-// piql/internal/kvstore as a facts-only (VetxOnly) unit whose
-// summaries land in a vetx file, then piql/internal/engine — with one
-// seeded violation file added — whose errtaxonomy diagnostic must cite
-// the fact imported from kvstore's vetx. This is the cross-package
-// acceptance path: the engine unit never sees kvstore source, only its
-// export data and facts file.
-func TestVettoolProtocolFactsRoundTrip(t *testing.T) {
-	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := t.TempDir()
-
-	// Unit 1: kvstore, facts only.
-	kvPkgs := listExport(t, repoRoot, "piql/internal/kvstore")
-	kv := kvPkgs["piql/internal/kvstore"]
-	if kv == nil {
-		t.Fatal("go list did not return piql/internal/kvstore")
-	}
-	packageFile := map[string]string{}
-	for path, p := range kvPkgs {
-		if p.Export != "" {
-			packageFile[path] = p.Export
-		}
-	}
-	var kvFiles []string
-	for _, f := range kv.GoFiles {
-		kvFiles = append(kvFiles, filepath.Join(kv.Dir, f))
-	}
-	kvVetx := filepath.Join(tmp, "kvstore.vetx")
-	kvCfg := writeCfg(t, tmp, "kvstore.cfg", &config{
-		ID:          "piql/internal/kvstore",
-		Compiler:    "gc",
-		Dir:         kv.Dir,
-		ImportPath:  "piql/internal/kvstore",
-		GoFiles:     kvFiles,
-		PackageFile: packageFile,
-		VetxOnly:    true,
-		VetxOutput:  kvVetx,
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{kvCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("kvstore unit exited %d: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(kvVetx)
-	if err != nil {
-		t.Fatalf("facts file not written: %v", err)
-	}
-	facts, err := lint.DecodeFacts(data)
-	if err != nil || facts == nil {
-		t.Fatalf("kvstore vetx did not decode (err=%v): %q", err, data[:min(len(data), 80)])
-	}
-	tas, ok := facts.Funcs["(*Client).TestAndSet"]
-	if !ok {
-		t.Fatal("kvstore facts missing (*Client).TestAndSet")
-	}
-	if !tas.Transient {
-		t.Fatalf("TestAndSet fact should be transient: %+v", tas)
-	}
-	if len(tas.Acquires) == 0 {
-		t.Fatalf("TestAndSet fact should acquire node locks: %+v", tas)
-	}
-	if len(facts.LockEdges) == 0 {
-		t.Fatal("kvstore facts exported no lock edges")
-	}
-
-	// Unit 2: engine + one seeded violation, consuming kvstore's vetx.
-	enPkgs := listExport(t, repoRoot, "piql/internal/engine")
-	en := enPkgs["piql/internal/engine"]
-	if en == nil {
-		t.Fatal("go list did not return piql/internal/engine")
-	}
-	enPackageFile := map[string]string{}
-	for path, p := range enPkgs {
-		if p.Export != "" {
-			enPackageFile[path] = p.Export
-		}
-	}
-	seeded := filepath.Join(tmp, "zz_seeded.go")
-	seed := `package engine
-
-import "piql/internal/kvstore"
-
-// seededBadClassify compares a wrapped transient error with ==; the
-// errtaxonomy consumer rule must flag it using the fact imported from
-// kvstore's vetx file.
-func seededBadClassify(cl *kvstore.Client, key []byte) bool {
-	_, err := cl.TestAndSet(key, nil, nil)
-	return err == kvstore.ErrTransient
-}
-`
-	if err := os.WriteFile(seeded, []byte(seed), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	var enFiles []string
-	for _, f := range en.GoFiles {
-		enFiles = append(enFiles, filepath.Join(en.Dir, f))
-	}
-	enFiles = append(enFiles, seeded)
-	enVetx := filepath.Join(tmp, "engine.vetx")
-	enCfg := writeCfg(t, tmp, "engine.cfg", &config{
-		ID:          "piql/internal/engine",
-		Compiler:    "gc",
-		Dir:         en.Dir,
-		ImportPath:  "piql/internal/engine",
-		GoFiles:     enFiles,
-		PackageFile: enPackageFile,
-		PackageVetx: map[string]string{"piql/internal/kvstore": kvVetx},
-		VetxOutput:  enVetx,
-	})
-	stdout.Reset()
-	stderr.Reset()
-	code := run([]string{enCfg}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("engine unit with seeded violation exited %d (want 2)\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
-	}
-	out := stderr.String()
-	if !strings.Contains(out, "zz_seeded.go") {
-		t.Fatalf("diagnostic not at the seeded site:\n%s", out)
-	}
-	if !strings.Contains(out, "errtaxonomy") {
-		t.Fatalf("diagnostic not from errtaxonomy:\n%s", out)
-	}
-	if !strings.Contains(out, "per fact from piql/internal/kvstore") {
-		t.Fatalf("diagnostic does not cite the kvstore vetx fact:\n%s", out)
-	}
-	if _, err := os.ReadFile(enVetx); err != nil {
-		t.Fatalf("engine facts not written: %v", err)
-	}
-
-	// Same unit without the kvstore facts: the trace has nothing to
-	// cite, so the seeded comparison must pass silently — proving the
-	// diagnostic above really came from the imported facts file. (The
-	// run as a whole is not clean: engine.go's justified
-	// `//lint:allow holdblock` correctly turns stale once the
-	// cross-package blocking fact it suppresses is missing.)
-	enCfgNoFacts := writeCfg(t, tmp, "engine-nofacts.cfg", &config{
-		ID:          "piql/internal/engine#nofacts",
-		Compiler:    "gc",
-		Dir:         en.Dir,
-		ImportPath:  "piql/internal/engine",
-		GoFiles:     enFiles,
-		PackageFile: enPackageFile,
-		VetxOutput:  filepath.Join(tmp, "engine-nofacts.vetx"),
-	})
-	stdout.Reset()
-	stderr.Reset()
-	run([]string{enCfgNoFacts}, &stdout, &stderr)
-	if out := stderr.String(); strings.Contains(out, "zz_seeded.go") || strings.Contains(out, "per fact from") {
-		t.Fatalf("seeded site diagnosed even without the kvstore facts file:\n%s", out)
-	}
-}
 
 // writeTree writes a file tree under root from path→contents.
 func writeTree(t *testing.T, root string, files map[string]string) {
@@ -271,12 +25,11 @@ func writeTree(t *testing.T, root string, files map[string]string) {
 }
 
 // TestReleasePathCrossPackageFacts is the releasepath acceptance test
-// for the facts protocol: an acquire-helper in one package (justified
+// for cross-package facts: an acquire-helper in one package (justified
 // with //lint:allow, which still exports the hold as a NetAcquires
 // fact) and a caller in another package that leaks the hold on an
-// early return. The leak is witnessed only through the vetx facts file
-// — the caller's unit never sees the helper's source — and vanishes
-// when the facts are withheld, proving the wiring carries it.
+// early return. The caller's analysis sees the helper only through the
+// first package's facts, so the report witnesses the imported hold.
 func TestReleasePathCrossPackageFacts(t *testing.T) {
 	tmp := t.TempDir()
 	// The scratch module is also named piql so its packages count as
@@ -316,109 +69,100 @@ func LeakyHold(g *lockutil.Guard, bad bool) {
 }
 `,
 	})
-
-	// Unit 1: lockutil, facts only. The allow suppresses the
-	// acquire-helper report but the NetAcquires fact must still export.
-	luPkgs := listExport(t, tmp, "piql/lockutil")
-	lu := luPkgs["piql/lockutil"]
-	if lu == nil {
-		t.Fatal("go list did not return piql/lockutil")
-	}
-	luPackageFile := map[string]string{}
-	for path, p := range luPkgs {
-		if p.Export != "" {
-			luPackageFile[path] = p.Export
-		}
-	}
-	var luFiles []string
-	for _, f := range lu.GoFiles {
-		luFiles = append(luFiles, filepath.Join(lu.Dir, f))
-	}
-	luVetx := filepath.Join(tmp, "lockutil.vetx")
-	luCfg := writeCfg(t, tmp, "lockutil.cfg", &config{
-		ID:          "piql/lockutil",
-		Compiler:    "gc",
-		Dir:         lu.Dir,
-		ImportPath:  "piql/lockutil",
-		GoFiles:     luFiles,
-		PackageFile: luPackageFile,
-		VetxOnly:    true,
-		VetxOutput:  luVetx,
-	})
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{luCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("lockutil unit exited %d: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(luVetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts, err := lint.DecodeFacts(data)
-	if err != nil || facts == nil {
-		t.Fatalf("lockutil vetx did not decode (err=%v)", err)
-	}
-	bh, ok := facts.Funcs["BeginHold"]
-	if !ok || len(bh.NetAcquires) != 1 || bh.NetAcquires[0] != "lockutil.Guard.Mu" {
-		t.Fatalf("BeginHold must export NetAcquires [lockutil.Guard.Mu]: %+v", bh)
-	}
-	eh, ok := facts.Funcs["EndHold"]
-	if !ok || len(eh.NetReleases) != 1 || eh.NetReleases[0] != "lockutil.Guard.Mu" {
-		t.Fatalf("EndHold must export NetReleases [lockutil.Guard.Mu]: %+v", eh)
-	}
-
-	// Unit 2: user, consuming lockutil's facts — the early return must
-	// be reported as a leak of the imported hold.
-	usPkgs := listExport(t, tmp, "piql/user")
-	us := usPkgs["piql/user"]
-	if us == nil {
-		t.Fatal("go list did not return piql/user")
-	}
-	usPackageFile := map[string]string{}
-	for path, p := range usPkgs {
-		if p.Export != "" {
-			usPackageFile[path] = p.Export
-		}
-	}
-	var usFiles []string
-	for _, f := range us.GoFiles {
-		usFiles = append(usFiles, filepath.Join(us.Dir, f))
-	}
-	usCfg := writeCfg(t, tmp, "user.cfg", &config{
-		ID:          "piql/user",
-		Compiler:    "gc",
-		Dir:         us.Dir,
-		ImportPath:  "piql/user",
-		GoFiles:     usFiles,
-		PackageFile: usPackageFile,
-		PackageVetx: map[string]string{"piql/lockutil": luVetx},
-		VetxOutput:  filepath.Join(tmp, "user.vetx"),
-	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{usCfg}, &stdout, &stderr); code != 2 {
-		t.Fatalf("user unit exited %d (want 2)\nstderr: %s", code, stderr.String())
+	if code := run([]string{"-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exited %d (want 2)\nstderr: %s", code, stderr.String())
 	}
 	out := stderr.String()
-	if !strings.Contains(out, "lockutil.Guard.Mu") || !strings.Contains(out, "releasepath") ||
-		!strings.Contains(out, "still held at this return") {
+	if !strings.Contains(out, filepath.Join("user", "user.go")) || !strings.Contains(out, "lockutil.Guard.Mu") ||
+		!strings.Contains(out, "releasepath") || !strings.Contains(out, "still held at this return") {
 		t.Fatalf("diagnostic does not witness the imported hold:\n%s", out)
 	}
+	if strings.Contains(out, "staleallow") {
+		t.Fatalf("the helper's //lint:allow must stay live:\n%s", out)
+	}
+}
 
-	// Without the facts the caller's unit has no idea BeginHold holds
-	// anything: silence here proves the report above came from the vetx.
-	usCfgNoFacts := writeCfg(t, tmp, "user-nofacts.cfg", &config{
-		ID:          "piql/user#nofacts",
-		Compiler:    "gc",
-		Dir:         us.Dir,
-		ImportPath:  "piql/user",
-		GoFiles:     usFiles,
-		PackageFile: usPackageFile,
-		VetxOutput:  filepath.Join(tmp, "user-nofacts.vetx"),
+// TestErrTaxonomyCrossPackageFacts is the errtaxonomy acceptance test
+// for cross-package facts, and for facts replayed from the cache: kv's
+// Put may return a transient error, and eng compares Put's error with
+// ==, so eng's diagnostic must cite the fact from kv. A cold -cache run
+// analyzes both packages; after an edit to eng alone the warm run
+// replays kv, so the fact reaches eng only through kv's decoded cache
+// entry.
+func TestErrTaxonomyCrossPackageFacts(t *testing.T) {
+	tmp := t.TempDir()
+	eng := `package eng
+
+import "piql/kv"
+
+// Stored compares a wrapped transient error with ==.
+func Stored(node int) bool {
+	err := kv.Put(node)
+	return err == kv.ErrTransient
+}
+`
+	writeTree(t, tmp, map[string]string{
+		"go.mod": "module piql\n\ngo 1.24\n",
+		"kv/kv.go": `package kv
+
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrTransient is the retryability sentinel.
+var ErrTransient = errors.New("kv: transient")
+
+// ErrNodeDown unwraps to the sentinel.
+type ErrNodeDown struct{ Node int }
+
+func (e *ErrNodeDown) Error() string { return fmt.Sprintf("node %d down", e.Node) }
+func (e *ErrNodeDown) Unwrap() error { return ErrTransient }
+
+// Put fails transiently while the node is down.
+func Put(node int) error {
+	if node < 0 {
+		return &ErrNodeDown{Node: node}
+	}
+	return nil
+}
+`,
+		"eng/eng.go": eng,
 	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{usCfgNoFacts}, &stdout, &stderr); code != 0 {
-		t.Fatalf("user unit without facts exited %d:\n%s", code, stderr.String())
+	cache := filepath.Join(tmp, "lintcache")
+	check := func(analyzed, replayed int) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-cache", cache, "-json", "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+			t.Fatalf("exited %d (want 2)\n%s%s", code, stdout.String(), stderr.String())
+		}
+		var payload struct {
+			Eng    map[string][]struct{ Posn, Message string } `json:"piql/eng"`
+			Timing runTiming                                   `json:"timing"`
+		}
+		if err := json.Unmarshal(stdout.Bytes(), &payload); err != nil {
+			t.Fatalf("-json payload: %v\n%s", err, stdout.String())
+		}
+		diags := payload.Eng["errtaxonomy"]
+		if len(diags) != 1 || !strings.Contains(diags[0].Message, "per fact from piql/kv") {
+			t.Fatalf("eng's diagnostic does not cite kv's fact:\n%s", stdout.String())
+		}
+		if payload.Timing.Analyzed != analyzed || payload.Timing.Replayed != replayed {
+			t.Fatalf("timing %+v, want %d analyzed and %d replayed", payload.Timing, analyzed, replayed)
+		}
+	}
+	check(2, 0)
+	writeTree(t, tmp, map[string]string{"eng/eng.go": eng + "\n// touched\n"})
+	check(1, 1)
+}
+
+// TestUnknownFlag: a flag piql-vet does not define is an operational
+// error, not silently ignored.
+func TestUnknownFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-standalone", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("unknown flag exited %d (want 1):\n%s", code, stderr.String())
 	}
 }
 
@@ -530,7 +274,7 @@ func Leak(g *G, bad bool) {
 	cache := filepath.Join(tmp, "lintcache")
 
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
 		t.Fatalf("cold run exited %d (want 2: the fixture leaks)\n%s", code, stderr.String())
 	}
 	cold := stderr.String()
@@ -544,7 +288,7 @@ func Leak(g *G, bad bool) {
 
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
 		t.Fatalf("warm run exited %d (want 2)\n%s", code, stderr.String())
 	}
 	if warm := stderr.String(); warm != cold {
@@ -556,7 +300,7 @@ func Leak(g *G, bad bool) {
 	writeTree(t, tmp, map[string]string{"g/g.go": strings.Replace(leaky, "if bad {\n\t\treturn\n\t}\n", "", 1)})
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("fixed tree exited %d:\n%s", code, stderr.String())
 	}
 
@@ -569,7 +313,7 @@ func Leak(g *G, bad bool) {
 	}
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("corrupt cache entries broke the run (%d):\n%s", code, stderr.String())
 	}
 
@@ -577,7 +321,7 @@ func Leak(g *G, bad bool) {
 	// that is what make ci archives as the artifact.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-json", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-cache", cache, "-json", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("json run exited %d:\n%s", code, stderr.String())
 	}
 	var payload map[string]any
@@ -587,13 +331,11 @@ func Leak(g *G, bad bool) {
 }
 
 // TestAtomicMixCrossPackageFacts is the atomicmix acceptance test for
-// the facts protocol: a kvstore-like package whose only atomic
+// cross-package facts: a kvstore-like package whose only atomic
 // discipline is a function-style atomic.AddUint64 on a plain uint64
 // field, and an engine-like package that reads the same field plainly.
-// The mixed access is visible only through the AtomicFields fact in
-// the first package's vetx — the reader's unit never sees the atomic
-// site's source — and the diagnostic vanishes when the facts are
-// withheld.
+// The mixed access is visible only through the first package's
+// AtomicFields fact — nothing in the reader's package is atomic.
 func TestAtomicMixCrossPackageFacts(t *testing.T) {
 	tmp := t.TempDir()
 	writeTree(t, tmp, map[string]string{
@@ -622,105 +364,15 @@ func Report(s *kv.Stats) uint64 {
 }
 `,
 	})
-
-	// Unit 1: kv, facts only — the atomic.AddUint64 site must export
-	// Stats.Hits as an atomic field.
-	kvPkgs := listExport(t, tmp, "piql/kv")
-	kv := kvPkgs["piql/kv"]
-	if kv == nil {
-		t.Fatal("go list did not return piql/kv")
-	}
-	kvPackageFile := map[string]string{}
-	for path, p := range kvPkgs {
-		if p.Export != "" {
-			kvPackageFile[path] = p.Export
-		}
-	}
-	var kvFiles []string
-	for _, f := range kv.GoFiles {
-		kvFiles = append(kvFiles, filepath.Join(kv.Dir, f))
-	}
-	kvVetx := filepath.Join(tmp, "kv.vetx")
-	kvCfg := writeCfg(t, tmp, "kv.cfg", &config{
-		ID:          "piql/kv",
-		Compiler:    "gc",
-		Dir:         kv.Dir,
-		ImportPath:  "piql/kv",
-		GoFiles:     kvFiles,
-		PackageFile: kvPackageFile,
-		VetxOnly:    true,
-		VetxOutput:  kvVetx,
-	})
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{kvCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("kv unit exited %d: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(kvVetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts, err := lint.DecodeFacts(data)
-	if err != nil || facts == nil {
-		t.Fatalf("kv vetx did not decode (err=%v)", err)
-	}
-	if len(facts.AtomicFields) != 1 || facts.AtomicFields[0] != "kv.Stats.Hits" {
-		t.Fatalf("kv must export AtomicFields [kv.Stats.Hits]: %+v", facts.AtomicFields)
-	}
-
-	// Unit 2: eng, consuming kv's facts — the plain read must be
-	// reported with the cross-package citation.
-	engPkgs := listExport(t, tmp, "piql/eng")
-	eng := engPkgs["piql/eng"]
-	if eng == nil {
-		t.Fatal("go list did not return piql/eng")
-	}
-	engPackageFile := map[string]string{}
-	for path, p := range engPkgs {
-		if p.Export != "" {
-			engPackageFile[path] = p.Export
-		}
-	}
-	var engFiles []string
-	for _, f := range eng.GoFiles {
-		engFiles = append(engFiles, filepath.Join(eng.Dir, f))
-	}
-	engCfg := writeCfg(t, tmp, "eng.cfg", &config{
-		ID:          "piql/eng",
-		Compiler:    "gc",
-		Dir:         eng.Dir,
-		ImportPath:  "piql/eng",
-		GoFiles:     engFiles,
-		PackageFile: engPackageFile,
-		PackageVetx: map[string]string{"piql/kv": kvVetx},
-		VetxOutput:  filepath.Join(tmp, "eng.vetx"),
-	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{engCfg}, &stdout, &stderr); code != 2 {
-		t.Fatalf("eng unit exited %d (want 2)\nstderr: %s", code, stderr.String())
+	if code := run([]string{"-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exited %d (want 2)\nstderr: %s", code, stderr.String())
 	}
 	out := stderr.String()
 	if !strings.Contains(out, "plain read of field kv.Stats.Hits") ||
 		!strings.Contains(out, "per fact from piql/kv") ||
 		!strings.Contains(out, "atomicmix") {
 		t.Fatalf("diagnostic does not witness the imported atomic field:\n%s", out)
-	}
-
-	// Without the facts the reader's unit sees an ordinary uint64
-	// field: silence proves the report came from the vetx.
-	engCfgNoFacts := writeCfg(t, tmp, "eng-nofacts.cfg", &config{
-		ID:          "piql/eng#nofacts",
-		Compiler:    "gc",
-		Dir:         eng.Dir,
-		ImportPath:  "piql/eng",
-		GoFiles:     engFiles,
-		PackageFile: engPackageFile,
-		VetxOutput:  filepath.Join(tmp, "eng-nofacts.vetx"),
-	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{engCfgNoFacts}, &stdout, &stderr); code != 0 {
-		t.Fatalf("eng unit without facts exited %d:\n%s", code, stderr.String())
 	}
 }
 
@@ -754,7 +406,7 @@ func Leak(g *G, bad bool) {
 	cache := filepath.Join(tmp, "lintcache")
 
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
 		t.Fatalf("cold run exited %d (want 2: the fixture leaks)\n%s", code, stderr.String())
 	}
 	cold := stderr.String()
@@ -769,7 +421,7 @@ func Leak(g *G, bad bool) {
 	writeTree(t, tmp, map[string]string{"g/g.go": allowed})
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("directive-only edit replayed the stale verdict (%d):\n%s", code, stderr.String())
 	}
 
@@ -779,7 +431,7 @@ func Leak(g *G, bad bool) {
 	writeTree(t, tmp, map[string]string{"g/g.go": leaky})
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-standalone", "-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
 		t.Fatalf("reverted tree exited %d (want 2)\n%s", code, stderr.String())
 	}
 	if warm := stderr.String(); warm != cold {
@@ -832,7 +484,7 @@ func Leak(g *G, bad bool) {
 
 	// Nothing differs from HEAD: both violations are filtered out.
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-standalone", "-changed", "HEAD", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-changed", "HEAD", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("committed tree exited %d:\n%s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "no module packages changed") {
@@ -843,7 +495,7 @@ func Leak(g *G, bad bool) {
 	writeTree(t, tmp, map[string]string{"a/a.go": leak("a") + "\n// touched\n"})
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-standalone", "-changed", "HEAD", "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-changed", "HEAD", "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
 		t.Fatalf("edited tree exited %d (want 2)\n%s", code, stderr.String())
 	}
 	out := stderr.String()
@@ -871,7 +523,7 @@ func Twice(n int) int {
 `,
 	})
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-standalone", "-dataflow", "Twice", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-dataflow", "Twice", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-dataflow Twice exited %d:\n%s", code, stderr.String())
 	}
 	out := stdout.String()
@@ -880,7 +532,7 @@ func Twice(n int) int {
 	}
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-standalone", "-dataflow", "NoSuchFunc", "-C", tmp, "./..."}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-dataflow", "NoSuchFunc", "-C", tmp, "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("unknown -dataflow name exited %d (want 1)", code)
 	}
 	if !strings.Contains(stderr.String(), "no function matches") {
@@ -888,8 +540,7 @@ func Twice(n int) int {
 	}
 }
 
-// TestStandaloneCleanTree runs the from-source mode over the whole
-// module: the tree must be clean (every finding fixed or justified),
+// TestStandaloneCleanTree runs piql-vet over the whole module: the tree must be clean (every finding fixed or justified),
 // and the lock hierarchy must contain the documented roots.
 func TestStandaloneCleanTree(t *testing.T) {
 	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
@@ -897,9 +548,9 @@ func TestStandaloneCleanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-standalone", "-lockgraph", "-C", repoRoot, "./..."}, &stdout, &stderr)
+	code := run([]string{"-lockgraph", "-C", repoRoot, "./..."}, &stdout, &stderr)
 	if code != 0 {
-		t.Fatalf("standalone run exited %d:\n%s%s", code, stdout.String(), stderr.String())
+		t.Fatalf("module run exited %d:\n%s%s", code, stdout.String(), stderr.String())
 	}
 	graph := stdout.String()
 	for _, want := range []string{
@@ -913,11 +564,4 @@ func TestStandaloneCleanTree(t *testing.T) {
 			t.Errorf("lock hierarchy missing %s:\n%s", want, graph)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -255,15 +255,20 @@ func (p *atomicProv) call(call *ast.CallExpr, fn *types.Func, recvTag, argTag *p
 }
 
 // atomicWriteFindings records rule-3 violations for one function:
-// assignments and inc/dec through a projection of a loaded value.
+// assignments and inc/dec through a projection of a loaded value, and
+// appends to a slice projected from one (append may write the shared
+// backing array in place). A three-index slice caps the capacity, so
+// appending to it copies and is not a write; `p.x = append(p.x, …)` is
+// reported once, as the assignment.
 func (ip *Interproc) atomicWriteFindings(fi *funcInfo, ft *funcTaint) {
-	report := func(pos token.Pos, tag provTag) {
+	report := func(pos token.Pos, what string, tag provTag) {
 		ip.atomicFindings = append(ip.atomicFindings, provFinding{
 			pos: pos,
-			msg: "plain write through a value " + tag.what +
+			msg: what + " a value " + tag.what +
 				" (Load at " + ip.shortPos(tag.pos) + "): atomically-published state is copy-on-write — build a new value and Store it",
 		})
 	}
+	reported := map[ast.Expr]bool{} // right-hand sides of reported assignments
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
@@ -273,7 +278,26 @@ func (ip *Interproc) atomicWriteFindings(fi *funcInfo, ft *funcTaint) {
 					continue
 				}
 				if tag, ok := ft.exprTag(root); ok {
-					report(s.Pos(), tag)
+					report(s.Pos(), "plain write through", tag)
+					for _, rhs := range s.Rhs {
+						reported[rhs] = true
+					}
+				}
+			}
+		case *ast.CallExpr:
+			id, ok := ast.Unparen(s.Fun).(*ast.Ident)
+			if !ok || len(s.Args) == 0 || reported[s] {
+				return true
+			}
+			if b, ok := ip.info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
+				return true
+			}
+			if full, ok := ast.Unparen(s.Args[0]).(*ast.SliceExpr); ok && full.Slice3 {
+				return true
+			}
+			if root, projected := projectionRoot(s.Args[0]); projected {
+				if tag, ok := ft.exprTag(root); ok {
+					report(s.Pos(), "append to a slice of", tag)
 				}
 			}
 		case *ast.IncDecStmt:
@@ -282,7 +306,7 @@ func (ip *Interproc) atomicWriteFindings(fi *funcInfo, ft *funcTaint) {
 				return true
 			}
 			if tag, ok := ft.exprTag(root); ok {
-				report(s.Pos(), tag)
+				report(s.Pos(), "plain write through", tag)
 			}
 		}
 		return true

@@ -147,8 +147,9 @@ func TestEscapeBudgetImportPath(t *testing.T) {
 
 // TestEscapeBudgetAnalyzer drives the analyzer directly: over budget
 // reports at the first excess site, at or under budget stays silent,
-// and a unit with no escape info (a plain vet unit) is skipped rather
-// than run — so its //lint:allow directives are not audited as stale.
+// and a unit with no escape info (as in the ordinary module run) is
+// skipped rather than run — so its //lint:allow directives are not
+// audited as stale.
 func TestEscapeBudgetAnalyzer(t *testing.T) {
 	a := byName(t, "escapebudget")
 	fset, files := parseEscapeFixture(t)

@@ -14,8 +14,8 @@ import "sort"
 // envelope codec are the gated set; the budget file is the allowlist.
 //
 // Unlike the other analyzers this one needs a build, so it only runs
-// under `piql-vet -escapebudget` (which make lint invokes); in plain
-// vet units Unit.Escapes is nil and Skip keeps the analyzer out of
+// under `piql-vet -escapebudget` (which make lint invokes); in the
+// module run Unit.Escapes is nil and Skip keeps the analyzer out of
 // the run entirely, so //lint:allow escapebudget directives do not
 // read as stale there.
 var EscapeBudget = &Analyzer{

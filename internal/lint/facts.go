@@ -13,12 +13,11 @@ import (
 // (*kvstore.Client).Get park the simulated process? which locks does
 // (*Cluster).Rebalance end up acquiring? can (*Client).TestAndSet
 // return an error that unwraps to kvstore.ErrTransient? Those summaries
-// are computed once per package (see interproc.go) and serialized into
-// the vetx facts files the `go vet` vettool protocol already threads
-// between units: each unit's facts are written to cfg.VetxOutput, and a
-// dependent unit finds its dependencies' facts in cfg.PackageVetx. The
-// standalone driver keeps the same facts in memory, in dependency
-// order. Only module-local packages carry facts; the behavior of the
+// are computed once per package (see interproc.go), in dependency
+// order, and handed to dependents through a FactStore. piql-vet also
+// serializes each package's facts into its lint-cache entry, so a
+// replayed package still supplies its dependents' facts. Only
+// module-local packages carry facts; the behavior of the
 // few standard-library blocking primitives is hardcoded in the
 // analyzers instead of analyzed.
 
@@ -110,7 +109,7 @@ type PackageFacts struct {
 // stale cache reads as "no facts", never as wrong facts.
 const factsVersion = 3
 
-// EncodeFacts serializes facts for a vetx file.
+// EncodeFacts serializes facts for a lint-cache entry.
 func EncodeFacts(f *PackageFacts) []byte {
 	if f == nil {
 		f = &PackageFacts{}
@@ -123,18 +122,17 @@ func EncodeFacts(f *PackageFacts) []byte {
 	return out
 }
 
-// DecodeFacts parses a vetx facts file. Three outcomes:
+// DecodeFacts parses serialized facts. Three outcomes:
 //
-//   - (facts, nil): a well-formed file from this tool version;
-//   - (nil, nil): content to silently ignore — the zero-length
-//     acknowledgement files written for out-of-module units, or a
-//     well-formed file from a different tool version (a stale cache
+//   - (facts, nil): a well-formed payload from this tool version;
+//   - (nil, nil): content to silently ignore — an empty payload, or a
+//     well-formed payload from a different tool version (a stale cache
 //     across upgrades is expected, not an error);
 //   - (nil, err): corrupt or truncated content. Drivers must surface
-//     this as a diagnostic and run without the facts — never panic,
-//     never trust a partial decode. The go build cache and the lint
-//     cache both replay these files long after they were written, so
-//     torn writes and truncation are inputs, not impossibilities.
+//     this and run without the facts — never panic, never trust a
+//     partial decode. The lint cache replays these payloads long after
+//     they were written, so torn writes and truncation are inputs, not
+//     impossibilities.
 func DecodeFacts(data []byte) (*PackageFacts, error) {
 	if len(data) == 0 {
 		return nil, nil

@@ -6,7 +6,7 @@ import (
 	"piql/internal/lint"
 )
 
-// FuzzPackageFacts hammers the vetx decoder with arbitrary bytes. The
+// FuzzPackageFacts hammers the facts decoder with arbitrary bytes. The
 // contract under test is the one drivers rely on: DecodeFacts never
 // panics, never returns facts alongside an error, and anything it
 // accepts survives an encode/decode round trip. The checked-in corpus

@@ -10,9 +10,10 @@ import (
 // only caught by luck. Blocking here means: a channel send or receive,
 // a select with no default, sync.Cond.Wait, sync.WaitGroup.Wait,
 // time.Sleep, or a call to any function whose summary says it may do
-// one of those — which, through the vetx facts, includes cross-node
-// client calls ((*kvstore.Client).Get parks the simulated process in
-// sim.Resource.Use) and every sim primitive built on park/wake.
+// one of those — which, through the cross-package facts, includes
+// cross-node client calls ((*kvstore.Client).Get parks the simulated
+// process in sim.Resource.Use) and every sim primitive built on
+// park/wake.
 //
 // Under the cooperative simulator the stakes are total: a process that
 // parks while holding a mutex freezes virtual time for the whole

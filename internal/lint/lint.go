@@ -2,16 +2,17 @@
 // concurrency-invariant analyzers. It plays the role of
 // golang.org/x/tools/go/analysis for this repository — built on the
 // standard library's go/ast, go/token, and go/types only, because the
-// build must not fetch modules — and is driven three ways: by
-// cmd/piql-vet through `go vet -vettool` (see that command for the
-// protocol), by `piql-vet -standalone`, and by the analyzers' own
+// build must not fetch modules — and is driven two ways: by
+// cmd/piql-vet, which loads the module from source and threads facts
+// between packages in dependency order, and by the analyzers' own
 // tests through linttest.
 //
 // The analyzers enforce structural invariants of the concurrent
 // engine/kvstore code that the type system cannot express: how routing
 // snapshots are claimed, that version envelopes reach replicas intact,
-// that simulated processes never block the real clock, that lease
-// tables are swapped whole — and, interprocedurally (see interproc.go),
+// that simulated processes never block or time against the real clock,
+// that atomically published tables are copy-on-write — and,
+// interprocedurally (see interproc.go),
 // that the lock-acquisition graph stays acyclic, that nothing blocks
 // while holding a mutex, and that client/op-path errors conform to the
 // ErrTransient taxonomy. Each analyzer documents its invariant on its
@@ -27,8 +28,9 @@
 // function. Suppression is part of the framework, not the individual
 // analyzers, so every rule gets it uniformly — and so is staleness: a
 // directive that suppresses nothing (for an analyzer that actually
-// ran) is itself reported, so justified allows cannot rot after the
-// code they excused is refactored away.
+// ran), or that names no registered analyzer at all, is itself
+// reported, so justified allows cannot rot after the code they excused
+// is refactored away or the analyzer they named is retired.
 package lint
 
 import (
@@ -56,10 +58,10 @@ type Analyzer struct {
 
 // Pass is one analyzer's view of one package: parsed files (comments
 // included) sharing a FileSet, plus — when the driver typechecked the
-// unit — type information and interprocedural summaries. The original
-// five analyzers are purely syntactic and ignore the typed side; the
-// interprocedural ones (lockorder, holdblock, errtaxonomy) no-op when
-// it is absent.
+// unit — type information and interprocedural summaries. Three
+// analyzers (routingclaim, envelopeintegrity, simsleep) are purely
+// syntactic and ignore the typed side; the interprocedural and dataflow
+// ones no-op when it is absent.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -88,8 +90,8 @@ type Unit struct {
 	Facts *FactStore
 	// Escapes carries the compiler's attributed heap-escape decisions
 	// for this package, when the driver ran `go build -gcflags=-m`
-	// (piql-vet -escapebudget). nil in ordinary vet units, which makes
-	// the escapebudget analyzer skip itself.
+	// (piql-vet -escapebudget). nil in the ordinary module run, which
+	// makes the escapebudget analyzer skip itself.
 	Escapes *EscapeInfo
 }
 
@@ -121,7 +123,7 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 	})
 }
 
-// Analyzers is the registry cmd/piql-vet and the tests run: the five
+// Analyzers is the registry cmd/piql-vet and the tests run: the three
 // syntactic invariants, the five interprocedural ones (lockorder,
 // holdblock, errtaxonomy, goroleak, releasepath), the build-diagnostic
 // escapebudget, and the three dataflow analyzers built on the dataflow
@@ -130,8 +132,6 @@ var Analyzers = []*Analyzer{
 	RoutingClaim,
 	EnvelopeIntegrity,
 	SimSleep,
-	SimTimer,
-	LeaseSwap,
 	LockOrder,
 	HoldBlock,
 	ErrTaxonomy,
@@ -162,14 +162,6 @@ func ByName(name string) *Analyzer {
 // and cannot itself be suppressed — a directive cannot justify its own
 // existence.
 const StaleAllowName = "staleallow"
-
-// Run applies every analyzer to the files syntactically and returns
-// the surviving diagnostics sorted by position. It is RunUnit without
-// type information, kept for the syntactic-only callers.
-func Run(fset *token.FileSet, files []*ast.File, importPath string, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunUnit(&Unit{Fset: fset, Files: files, ImportPath: importPath}, analyzers)
-	return diags
-}
 
 // RunUnit applies every analyzer to the unit and returns the surviving
 // diagnostics sorted by position, plus the package's exported facts
@@ -219,19 +211,22 @@ func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, *PackageFacts) {
 	}
 	// Staleness: a directive for an analyzer that ran but suppressed
 	// nothing is dead weight — or worse, a stale justification for a
-	// violation that no longer exists. Directives naming analyzers
-	// outside this run set are left alone (single-analyzer test runs
-	// must not flag their neighbors' allows).
+	// violation that no longer exists. A directive naming no registered
+	// analyzer (a typo, or a retired analyzer) can never suppress
+	// anything. Directives naming registered analyzers outside this run
+	// set are left alone (single-analyzer test runs must not flag their
+	// neighbors' allows).
 	for _, dir := range directives.list {
-		if ran[dir.name] && !dir.used {
-			out = append(out, Diagnostic{
-				Analyzer: StaleAllowName,
-				Pos:      dir.pos,
-				Message: fmt.Sprintf(
-					"//lint:allow %s suppresses no diagnostic; remove the directive or restore its justification",
-					dir.name),
-			})
+		var msg string
+		switch {
+		case ByName(dir.name) == nil:
+			msg = "//lint:allow %s names no registered analyzer; fix the name or remove the directive"
+		case ran[dir.name] && !dir.used:
+			msg = "//lint:allow %s suppresses no diagnostic; remove the directive or restore its justification"
+		default:
+			continue
 		}
+		out = append(out, Diagnostic{Analyzer: StaleAllowName, Pos: dir.pos, Message: fmt.Sprintf(msg, dir.name)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos

@@ -10,7 +10,7 @@ import (
 
 // byName fetches an analyzer through the registry, so deleting a
 // registration from lint.Analyzers fails that analyzer's fixture suite
-// here rather than silently shrinking the vettool.
+// here rather than silently shrinking piql-vet.
 func byName(t *testing.T, name string) *lint.Analyzer {
 	t.Helper()
 	a := lint.ByName(name)
@@ -36,16 +36,15 @@ func TestSimSleepIgnoresNonSimPackages(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "simsleepnosim"), byName(t, "simsleep"))
 }
 
+// TestSimTimer drives simsleep's wall-clock timer constructors.
 func TestSimTimer(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "simtimer"), byName(t, "simtimer"))
+	linttest.Run(t, filepath.Join("testdata", "simtimer"), byName(t, "simsleep"))
 }
 
-func TestSimTimerIgnoresNonSimPackages(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "simsleepnosim"), byName(t, "simtimer"))
-}
-
+// TestLeaseSwap drives atomicmix's copy-on-write rule over the kvstore
+// lease-table shapes, appends included.
 func TestLeaseSwap(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "leaseswap"), byName(t, "leaseswap"))
+	linttest.Run(t, filepath.Join("testdata", "leaseswap"), byName(t, "atomicmix"))
 }
 
 func TestLockOrder(t *testing.T) {
@@ -81,11 +80,58 @@ func TestCancelPath(t *testing.T) {
 }
 
 // TestStaleAllow drives the framework-level stale-directive report: a
-// //lint:allow for an analyzer that ran but suppressed nothing is
-// itself diagnosed, at the directive's position.
+// //lint:allow for an analyzer that ran but suppressed nothing, or for
+// a name no analyzer is registered under, is itself diagnosed, at the
+// directive's position.
 func TestStaleAllow(t *testing.T) {
 	linttest.RunAnalyzers(t, filepath.Join("testdata", "staleallow"),
 		[]*lint.Analyzer{byName(t, "routingclaim")})
+}
+
+// TestKVStoreFacts analyzes the real module in dependency order up to
+// piql/internal/kvstore and checks the facts its dependents rely on:
+// TestAndSet may return a transient error and acquires node locks, and
+// the package exports lock-order edges.
+func TestKVStoreFacts(t *testing.T) {
+	loader, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := loader.ScanModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := lint.NewFactStore()
+	for _, sp := range scan {
+		unit, err := loader.LoadDir(sp.Dir, sp.ImportPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit.Facts = store
+		_, facts := lint.RunUnit(unit, lint.Analyzers)
+		if sp.ImportPath != "piql/internal/kvstore" {
+			store.Add(sp.ImportPath, facts)
+			continue
+		}
+		if facts == nil {
+			t.Fatal("kvstore exported no facts")
+		}
+		tas, ok := facts.Funcs["(*Client).TestAndSet"]
+		if !ok {
+			t.Fatal("kvstore facts missing (*Client).TestAndSet")
+		}
+		if !tas.Transient {
+			t.Errorf("TestAndSet fact should be transient: %+v", tas)
+		}
+		if len(tas.Acquires) == 0 {
+			t.Errorf("TestAndSet fact should acquire node locks: %+v", tas)
+		}
+		if len(facts.LockEdges) == 0 {
+			t.Error("kvstore facts exported no lock edges")
+		}
+		return
+	}
+	t.Fatal("module scan did not reach piql/internal/kvstore")
 }
 
 func TestFactsRoundTrip(t *testing.T) {
@@ -127,9 +173,8 @@ func TestFactsRoundTrip(t *testing.T) {
 	if len(out.AtomicFields) != 2 {
 		t.Fatalf("round-trip mangled AtomicFields: %+v", out.AtomicFields)
 	}
-	// Empty payloads decode to nil without error (the std-unit
-	// acknowledgement files must not be mistaken for facts); corrupt
-	// payloads are an error, never a panic and never silent.
+	// Empty payloads decode to nil without error; corrupt payloads are
+	// an error, never a panic and never silent.
 	if pf, err := lint.DecodeFacts(nil); pf != nil || err != nil {
 		t.Fatalf("empty payload: got %v, %v; want nil, nil", pf, err)
 	}

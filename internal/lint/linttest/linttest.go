@@ -14,7 +14,7 @@
 // Fixture packages are fully typechecked (via the lint package's
 // source loader, so they may import piql/... packages), which is what
 // lets the interprocedural analyzers — lockorder, holdblock,
-// errtaxonomy — run against them exactly as they run in the vettool.
+// errtaxonomy — run against them exactly as they run in piql-vet.
 package linttest
 
 import (
@@ -66,14 +66,14 @@ func RunAnalyzers(t *testing.T, dir string, analyzers []*lint.Analyzer) {
 	if loaderErr != nil {
 		t.Fatalf("linttest: %v", loaderErr)
 	}
-	lp, err := loader.LoadDir(dir, "piql/internal/lint/"+dir)
+	u, err := loader.LoadDir(dir, "piql/internal/lint/"+dir)
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
 
 	var expects []*expectation
 	fset := loader.Fset()
-	for _, f := range lp.Unit.Files {
+	for _, f := range u.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRe.FindStringSubmatch(c.Text)
@@ -99,7 +99,7 @@ func RunAnalyzers(t *testing.T, dir string, analyzers []*lint.Analyzer) {
 		}
 	}
 
-	unit := *lp.Unit
+	unit := *u
 	unit.Facts = lint.NewFactStore()
 	diags, _ := lint.RunUnit(&unit, analyzers)
 	for _, d := range diags {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 )
 
@@ -18,9 +17,8 @@ import (
 // with no go/packages and no network: module-local imports resolve
 // recursively through the loader itself, standard-library imports
 // through the source importer (which reads $GOROOT/src — the
-// toolchain ships it). It exists for the two drivers that run outside
-// the `go vet` handshake and therefore have no compiler export data:
-// `piql-vet -standalone` and the linttest fixtures.
+// toolchain ships it). Both drivers use it: piql-vet loads each package
+// ScanModule lists, in dependency order, and linttest loads fixtures.
 type Loader struct {
 	fset *token.FileSet
 	// ModuleRoot is the directory containing go.mod; ModulePath the
@@ -29,18 +27,8 @@ type Loader struct {
 	ModulePath string
 
 	std     types.Importer
-	pkgs    map[string]*LoadedPackage
+	pkgs    map[string]*Unit
 	loading map[string]bool
-	// order records completion order: every package appears after all
-	// of its module-local dependencies, which is exactly the order
-	// facts must be computed in.
-	order []string
-}
-
-// LoadedPackage is one typechecked package ready for RunUnit.
-type LoadedPackage struct {
-	Unit *Unit
-	Dir  string
 }
 
 // NewLoader finds the enclosing module of start (a file or directory)
@@ -78,7 +66,7 @@ func NewLoader(start string) (*Loader, error) {
 		ModuleRoot: dir,
 		ModulePath: string(m[1]),
 		std:        importer.ForCompiler(fset, "source", nil),
-		pkgs:       map[string]*LoadedPackage{},
+		pkgs:       map[string]*Unit{},
 		loading:    map[string]bool{},
 	}, nil
 }
@@ -92,19 +80,19 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		lp, err := l.loadImportPath(path)
+		u, err := l.loadImportPath(path)
 		if err != nil {
 			return nil, err
 		}
-		return lp.Unit.Pkg, nil
+		return u.Pkg, nil
 	}
 	return l.std.Import(path)
 }
 
 // loadImportPath loads a module-local package by import path.
-func (l *Loader) loadImportPath(path string) (*LoadedPackage, error) {
-	if lp, ok := l.pkgs[path]; ok {
-		return lp, nil
+func (l *Loader) loadImportPath(path string) (*Unit, error) {
+	if u, ok := l.pkgs[path]; ok {
+		return u, nil
 	}
 	dir := l.ModuleRoot
 	if path != l.ModulePath {
@@ -115,10 +103,11 @@ func (l *Loader) loadImportPath(path string) (*LoadedPackage, error) {
 
 // LoadDir parses and typechecks the non-test .go files of one
 // directory under the given import path (which may be synthetic, as
-// for test fixtures). Results are memoized by import path.
-func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
-	if lp, ok := l.pkgs[path]; ok {
-		return lp, nil
+// for test fixtures) into a Unit ready for RunUnit. Results are
+// memoized by import path.
+func (l *Loader) LoadDir(dir, path string) (*Unit, error) {
+	if u, ok := l.pkgs[path]; ok {
+		return u, nil
 	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
@@ -157,69 +146,13 @@ func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 	}
-	lp := &LoadedPackage{
-		Unit: &Unit{
-			Fset:       l.fset,
-			Files:      files,
-			ImportPath: path,
-			Pkg:        pkg,
-			Info:       info,
-		},
-		Dir: dir,
+	u := &Unit{
+		Fset:       l.fset,
+		Files:      files,
+		ImportPath: path,
+		Pkg:        pkg,
+		Info:       info,
 	}
-	l.pkgs[path] = lp
-	l.order = append(l.order, path)
-	return lp, nil
-}
-
-// LoadAll loads every package in the module (the `./...` of standalone
-// mode) and returns them in dependency order: each package after all
-// module-local packages it imports.
-func (l *Loader) LoadAll() ([]*LoadedPackage, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.ModuleRoot, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		base := filepath.Base(p)
-		if p != l.ModuleRoot && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata") {
-			return filepath.SkipDir
-		}
-		entries, rdErr := os.ReadDir(p)
-		if rdErr != nil {
-			return rdErr
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-				dirs = append(dirs, p)
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(l.ModuleRoot, dir)
-		if err != nil {
-			return nil, err
-		}
-		path := l.ModulePath
-		if rel != "." {
-			path = l.ModulePath + "/" + filepath.ToSlash(rel)
-		}
-		if _, err := l.loadImportPath(path); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]*LoadedPackage, 0, len(l.order))
-	for _, path := range l.order {
-		out = append(out, l.pkgs[path])
-	}
-	return out, nil
+	l.pkgs[path] = u
+	return u, nil
 }

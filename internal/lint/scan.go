@@ -11,11 +11,11 @@ import (
 	"strings"
 )
 
-// Parse-only module scan, for the incremental standalone driver: the
-// lint cache needs every package's file list and module-local import
-// edges (to key cache entries by content + dependency facts and to
-// process packages in dependency order) without paying for a
-// typecheck of packages whose cached results will be replayed.
+// Parse-only module scan, the driver's one package enumeration: it
+// yields every package's file list and module-local import edges, so
+// the driver can process packages in dependency order and key cache
+// entries by content + dependency facts without paying for a typecheck
+// of packages whose cached results will be replayed.
 
 // ScannedPackage is one package found by ScanModule.
 type ScannedPackage struct {
@@ -28,16 +28,12 @@ type ScannedPackage struct {
 	LocalImports []string
 }
 
-// ScanModule enumerates the module's packages by parsing import
+// ScanModule enumerates the loader's module packages by parsing import
 // clauses only, returning them topologically sorted: every package
 // after all module-local packages it imports.
-func ScanModule(start string) ([]*ScannedPackage, error) {
-	l, err := NewLoader(start)
-	if err != nil {
-		return nil, err
-	}
+func (l *Loader) ScanModule() ([]*ScannedPackage, error) {
 	var dirs []string
-	err = filepath.WalkDir(l.ModuleRoot, func(p string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(l.ModuleRoot, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,5 @@
-// Test fixture for the simtimer analyzer: this package imports the
-// simulator, so wall-clock timer constructors are forbidden.
+// Test fixture for the simsleep analyzer's timer rules: this package
+// imports the simulator, so wall-clock timer constructors are forbidden.
 package simtimer
 
 import (
@@ -26,7 +26,7 @@ func reading() {
 	_ = time.Since(time.Now()) // so is measuring with it
 }
 
-//lint:allow simtimer — harness pacing documented at the site
+//lint:allow simsleep — harness pacing documented at the site
 func suppressed() {
 	<-time.After(time.Millisecond)
 }
