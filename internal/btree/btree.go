@@ -2,7 +2,8 @@
 // simulated storage node in the key/value store: a classic B-tree over
 // []byte keys with ascending and descending range iteration.
 //
-// The tree is not safe for concurrent use; kvstore.Node serializes access.
+// The tree is not safe for concurrent use; the kvstore's storage node
+// (its unexported node type) serializes access under the node's mutex.
 package btree
 
 import "bytes"

@@ -300,21 +300,33 @@ func TestSortedJoinDerefIsBatchedAcrossStreams(t *testing.T) {
 	}
 }
 
-// TestSortedJoinMergeEquivalence pins the SortedIndexJoin merge order:
-// the joined output must equal each followed user's rows in
-// subscription-target order, stable-sorted on the ORDER BY key. The
-// streams tie on the sort column across followed users, so the tie
-// order (lowest stream first) is visible. Every LIMIT n must return the
-// first n rows of that reference, and a paginated cursor whose page
-// boundary falls inside a run of ties must concatenate to it. One shape
-// joins over the primary index (thoughts); the other over a secondary
-// index holding a dangling entry and a stale one (articles) — the stale
-// entry, left by an update of the sort column that stopped before
-// deleting it, sits at the record's old position ahead of live rows.
-func TestSortedJoinMergeEquivalence(t *testing.T) {
+// articlesJoinSQL joins u00's subscriptions to the articles their
+// targets author, newest first, over the articles secondary index; %s
+// takes the LIMIT or PAGINATE clause.
+const articlesJoinSQL = `SELECT a.id FROM subscriptions s JOIN articles a
+	WHERE a.author = s.target AND s.owner = 'u00' AND s.approved = true
+	ORDER BY a.ts DESC %s`
+
+// mergeRef is one expected output row: an id and the sort value it
+// appears at.
+type mergeRef struct {
+	id string
+	ts int64
+}
+
+// newMergeFixture loads four followed users t1..t4 whose thoughts and
+// articles tie on the sort column across users (runs at 10, 7, 5 and
+// 2), then damages the articles secondary index: the record of a-t2-02
+// is deleted behind its entry's back (a dangling entry), and a-t1-08 is
+// moved from ts 8 to ts 1 with its old entry put back (a stale entry,
+// left by an update of the sort column that stopped before deleting
+// it). It returns the session and the expected thoughts and articles,
+// in insertion order.
+func newMergeFixture(t *testing.T) (s *Session, thoughtsRef, articlesRef []mergeRef) {
+	t.Helper()
 	cluster := kvstore.New(kvstore.Config{Nodes: 1, ReplicationFactor: 1, Seed: 6}, nil)
 	eng := New(cluster)
-	s := eng.Session(nil)
+	s = eng.Session(nil)
 	for _, ddl := range []string{
 		`CREATE TABLE users (username VARCHAR(20), PRIMARY KEY (username))`,
 		`CREATE TABLE subscriptions (owner VARCHAR(20), target VARCHAR(20), approved BOOLEAN,
@@ -341,11 +353,6 @@ func TestSortedJoinMergeEquivalence(t *testing.T) {
 	// cuts a live row off in favour of it. The stale article moves from
 	// ts 8 to ts 1, the end of its stream, tying with t4's last row.
 	const dangling, stale = "a-t2-02", "a-t1-08"
-	type ref struct {
-		id string
-		ts int64
-	}
-	var thoughtsRef, articlesRef []ref
 	for _, tg := range targets {
 		if err := s.Exec(`INSERT INTO users VALUES (?)`, value.Str(tg)); err != nil {
 			t.Fatal(err)
@@ -361,59 +368,21 @@ func TestSortedJoinMergeEquivalence(t *testing.T) {
 			if err := s.Exec(`INSERT INTO articles VALUES (?, ?, ?, 'title')`, value.Str(id), value.Str(tg), value.Int(ts)); err != nil {
 				t.Fatal(err)
 			}
-			thoughtsRef = append(thoughtsRef, ref{id, ts})
+			thoughtsRef = append(thoughtsRef, mergeRef{id, ts})
 			switch id {
 			case dangling:
 			case stale:
-				articlesRef = append(articlesRef, ref{id, 1})
+				articlesRef = append(articlesRef, mergeRef{id, 1})
 			default:
-				articlesRef = append(articlesRef, ref{id, ts})
+				articlesRef = append(articlesRef, mergeRef{id, ts})
 			}
 		}
 	}
-	ids := func(r []ref) []string {
-		sort.SliceStable(r, func(a, b int) bool { return r[a].ts > r[b].ts })
-		out := make([]string, len(r))
-		for i := range r {
-			out[i] = r[i].id
-		}
-		return out
-	}
-
-	shapes := []struct {
-		name string
-		sql  string // %s takes the LIMIT or PAGINATE clause
-		want []string
-	}{
-		{
-			name: "primary",
-			sql: `SELECT thoughts.text FROM subscriptions s JOIN thoughts
-			      WHERE thoughts.owner = s.target AND s.owner = 'u00' AND s.approved = true
-			      ORDER BY thoughts.timestamp DESC %s`,
-			want: ids(thoughtsRef),
-		},
-		{
-			name: "secondary",
-			sql: `SELECT a.id FROM subscriptions s JOIN articles a
-			      WHERE a.author = s.target AND s.owner = 'u00' AND s.approved = true
-			      ORDER BY a.ts DESC %s`,
-			want: ids(articlesRef),
-		},
-	}
-	prepare := func(sql string) *Prepared {
-		t.Helper()
-		q, err := s.Prepare(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if expl := q.Plan().Explain(); !strings.Contains(expl, "SortedIndexJoin") {
-			t.Fatalf("plan has no SortedIndexJoin:\n%s", expl)
-		}
-		return q
-	}
 	// Build the articles index, then delete one record behind its back
 	// and move another, putting its old entry back.
-	prepare(fmt.Sprintf(shapes[1].sql, "LIMIT 1"))
+	if _, err := s.Prepare(fmt.Sprintf(articlesJoinSQL, "LIMIT 1")); err != nil {
+		t.Fatal(err)
+	}
 	articles := eng.Catalog().Table("articles")
 	s.Client().Delete(index.RecordKeyFromPK(articles, value.Row{value.Str(dangling)}))
 	if err := s.Exec(`UPDATE articles SET ts = 1 WHERE id = ?`, value.Str(stale)); err != nil {
@@ -427,40 +396,140 @@ func TestSortedJoinMergeEquivalence(t *testing.T) {
 			}
 		}
 	}
+	return s, thoughtsRef, articlesRef
+}
 
-	// A page of 2 ends inside the leading run of three 10s.
-	const page = 2
+// refIDs stable-sorts r newest first and returns its ids.
+func refIDs(r []mergeRef) []string {
+	sort.SliceStable(r, func(a, b int) bool { return r[a].ts > r[b].ts })
+	out := make([]string, len(r))
+	for i := range r {
+		out[i] = r[i].id
+	}
+	return out
+}
+
+// TestSortedJoinMergeEquivalence pins the SortedIndexJoin merge order:
+// the joined output must equal each followed user's rows in
+// subscription-target order, stable-sorted on the ORDER BY key. The
+// streams tie on the sort column across followed users, so the tie
+// order (lowest stream first) is visible. Every LIMIT n must return the
+// first n rows of that reference, and a paginated cursor whose page
+// boundary falls inside a run of ties must concatenate to it. One shape
+// joins over the primary index (thoughts); the other over a secondary
+// index holding a dangling entry and a stale one (articles) — the stale
+// entry sits at the record's old position ahead of live rows.
+func TestSortedJoinMergeEquivalence(t *testing.T) {
+	s, thoughtsRef, articlesRef := newMergeFixture(t)
+	shapes := []struct {
+		name string
+		sql  string // %s takes the LIMIT or PAGINATE clause
+		want []string
+	}{
+		{
+			name: "primary",
+			sql: `SELECT thoughts.text FROM subscriptions s JOIN thoughts
+			      WHERE thoughts.owner = s.target AND s.owner = 'u00' AND s.approved = true
+			      ORDER BY thoughts.timestamp DESC %s`,
+			want: refIDs(thoughtsRef),
+		},
+		{
+			name: "secondary",
+			sql:  articlesJoinSQL,
+			want: refIDs(articlesRef),
+		},
+	}
 	for _, sh := range shapes {
-		for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
-			s.SetStrategy(strat)
-			for n := 1; n <= len(sh.want); n++ {
-				res, err := prepare(fmt.Sprintf(sh.sql, fmt.Sprintf("LIMIT %d", n))).Execute(s)
-				if err != nil {
-					t.Fatalf("%s (%v) LIMIT %d: %v", sh.name, strat, n, err)
-				}
-				if got, want := firstCol(res.Rows), sh.want[:n]; !slices.Equal(got, want) {
-					t.Fatalf("%s (%v) LIMIT %d: got %v, want %v", sh.name, strat, n, got, want)
-				}
+		runEveryLimitAndPage(t, s, "SortedIndexJoin", sh.sql, len(sh.want), func(label string, n int, got []string) {
+			want := sh.want
+			if n > 0 {
+				want = want[:n]
 			}
-			cur, err := prepare(fmt.Sprintf(sh.sql, fmt.Sprintf("PAGINATE %d", page))).Paginate()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %s: got %v, want %v", sh.name, label, got, want)
+			}
+		})
+	}
+}
+
+// TestIndexScanSkipsStaleEntries: an IndexScan over a secondary index
+// holding a stale entry (the merge fixture's a-t1-08, moved from ts 8 to
+// ts 1 with its old entry left behind) must never return the record at
+// the stale entry's position: at every LIMIT, and across PAGINATE pages,
+// under every strategy, the ids come out once each and in ts order — a
+// subsequence of the live reference. The skipped entry still counts
+// against the fetch limit, as a dangling one does, so a result may be
+// one row short.
+func TestIndexScanSkipsStaleEntries(t *testing.T) {
+	s, _, articlesRef := newMergeFixture(t)
+	var t1 []mergeRef
+	for _, r := range articlesRef {
+		if strings.HasPrefix(r.id, "a-t1-") {
+			t1 = append(t1, r)
+		}
+	}
+	want := refIDs(t1)
+	sql := `SELECT id FROM articles WHERE author = 't1' ORDER BY ts DESC %s`
+	runEveryLimitAndPage(t, s, "IndexScan", sql, len(want), func(label string, n int, got []string) {
+		at := -1
+		for _, id := range got {
+			i := slices.Index(want, id)
+			if i <= at {
+				t.Fatalf("%s: got %v, not a subsequence of %v (duplicate or out of ts order)", label, got, want)
+			}
+			at = i
+		}
+		if n > 0 && len(got) < n-1 {
+			t.Fatalf("%s: got %d rows %v, want at least %d", label, len(got), got, n-1)
+		}
+	})
+}
+
+// runEveryLimitAndPage runs sql, whose %s takes the LIMIT or PAGINATE
+// clause and whose plan must contain op, under every strategy: at every
+// LIMIT n from 1 to maxLimit, then through a cursor paginating by 2 (a
+// page boundary inside a run of ties). check receives each LIMIT
+// result's first column with its n, and the pages' concatenated first
+// column with n = 0.
+func runEveryLimitAndPage(t *testing.T, s *Session, op, sql string, maxLimit int, check func(label string, n int, got []string)) {
+	t.Helper()
+	prepare := func(sql string) *Prepared {
+		t.Helper()
+		q, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if expl := q.Plan().Explain(); !strings.Contains(expl, op) {
+			t.Fatalf("plan has no %s:\n%s", op, expl)
+		}
+		return q
+	}
+	const page = 2
+	for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
+		s.SetStrategy(strat)
+		for n := 1; n <= maxLimit; n++ {
+			res, err := prepare(fmt.Sprintf(sql, fmt.Sprintf("LIMIT %d", n))).Execute(s)
+			if err != nil {
+				t.Fatalf("(%v) LIMIT %d: %v", strat, n, err)
+			}
+			check(fmt.Sprintf("(%v) LIMIT %d", strat, n), n, firstCol(res.Rows))
+		}
+		cur, err := prepare(fmt.Sprintf(sql, fmt.Sprintf("PAGINATE %d", page))).Paginate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paged []string
+		for !cur.Done() && len(paged) <= maxLimit {
+			res, err := cur.Next(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var paged []string
-			for !cur.Done() && len(paged) <= len(sh.want) {
-				res, err := cur.Next(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res == nil {
-					break
-				}
-				paged = append(paged, firstCol(res.Rows)...)
+			if res == nil {
+				break
 			}
-			if !slices.Equal(paged, sh.want) {
-				t.Fatalf("%s (%v) PAGINATE %d: got %v, want %v", sh.name, strat, page, paged, sh.want)
-			}
+			paged = append(paged, firstCol(res.Rows)...)
 		}
+		check(fmt.Sprintf("(%v) PAGINATE %d", strat, page), 0, paged)
 	}
 }
 

@@ -50,21 +50,34 @@ func (e *executor) runStop(n *core.LocalStop) ([]value.Row, error) {
 	return rows, nil
 }
 
-// runProject maps combined rows to output rows.
+// runProject maps combined rows to output rows in place: each output
+// row is written into the front of its own combined row, through one
+// temporary shared by the whole call (a column may move to a slot an
+// earlier one still needs), and the rest of the combined row is cleared.
+// Only a projection wider than a row's capacity allocates a new row.
+// Every operator below builds a distinct combined row per output row,
+// so no two output rows share a backing array.
 func (e *executor) runProject(n *core.LocalProject) ([]value.Row, error) {
 	rows, err := e.run(n.ChildPlan)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]value.Row, len(rows))
+	w := len(n.Cols)
+	tmp := make(value.Row, w)
 	for i, row := range rows {
-		proj := make(value.Row, len(n.Cols))
 		for j, c := range n.Cols {
-			proj[j] = row[c]
+			tmp[j] = row[c]
 		}
-		out[i] = proj
+		if cap(row) < w {
+			rows[i] = append(value.Row(nil), tmp...)
+			continue
+		}
+		full := row[:cap(row)]
+		copy(full, tmp)
+		clear(full[w:])
+		rows[i] = full[:w]
 	}
-	return out, nil
+	return rows, nil
 }
 
 // aggState accumulates one group.

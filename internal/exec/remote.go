@@ -229,8 +229,11 @@ func appendEntryRecordKeys(dst [][]byte, ix *schema.Index, table *schema.Table, 
 }
 
 // derefEntries resolves secondary index entries to full records with one
-// batched request set, preserving entry order (rows whose record
-// vanished — dangling entries — are skipped).
+// batched request set, preserving entry order. Rows whose record vanished
+// (dangling entries) are skipped, and so are records that no longer
+// produce their entry: a stale entry, left by a half-completed update,
+// sits at the record's old position, and the record's live entry emits
+// it once, in order and inside the scanned range.
 func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset int, kvs []kvstore.KV) ([]value.Row, error) {
 	keys, err := appendEntryRecordKeys(make([][]byte, 0, len(kvs)), ix, table, kvs)
 	if err != nil {
@@ -238,15 +241,22 @@ func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset in
 	}
 	recs := e.getBatch(keys)
 	var rows []value.Row
-	for _, rec := range recs {
+	var row value.Row // reused after a stale record
+	for i, rec := range recs {
 		if rec == nil {
 			continue // dangling entry awaiting GC
 		}
-		row := e.newRow()
+		if row == nil {
+			row = e.newRow()
+		}
 		if err := placeRecord(row, offset, rec); err != nil {
 			return nil, err
 		}
+		if !index.ProducesEntry(ix, table, row[offset:], kvs[i].Key) {
+			continue
+		}
 		rows = append(rows, row)
+		row = nil
 	}
 	return rows, nil
 }

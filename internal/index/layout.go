@@ -83,21 +83,7 @@ func IndexPrefix(ix *schema.Index) []byte {
 // one entry per distinct token of the column text (the inverted
 // full-text index of Section 7.3).
 func EntryKeys(ix *schema.Index, t *schema.Table, row value.Row) [][]byte {
-	suffix := make([]byte, 0, 64)
-	var tokenField *schema.IndexField
-	for i := range ix.Fields {
-		f := &ix.Fields[i]
-		if f.Token {
-			if tokenField != nil {
-				// Multiple token fields per index are rejected by the
-				// catalog; defensive guard.
-				panic("index: multiple token fields")
-			}
-			tokenField = f
-			continue
-		}
-		suffix = codec.AppendValue(suffix, row[t.ColumnIndex(f.Column)], f.Desc)
-	}
+	suffix, tokenField := appendEntrySuffix(make([]byte, 0, 64), ix, t, row)
 	if tokenField == nil {
 		key := append(IndexPrefix(ix), suffix...)
 		return [][]byte{key}
@@ -121,10 +107,39 @@ func EntryKeys(ix *schema.Index, t *schema.Table, row value.Row) [][]byte {
 	return keys
 }
 
+// appendEntrySuffix appends the encoded non-token fields of row, in
+// index order, to dst and returns the index's token field (nil for a
+// plain index).
+func appendEntrySuffix(dst []byte, ix *schema.Index, t *schema.Table, row value.Row) ([]byte, *schema.IndexField) {
+	var tokenField *schema.IndexField
+	for i := range ix.Fields {
+		f := &ix.Fields[i]
+		if f.Token {
+			if tokenField != nil {
+				// Multiple token fields per index are rejected by the
+				// catalog; defensive guard.
+				panic("index: multiple token fields")
+			}
+			tokenField = f
+			continue
+		}
+		dst = codec.AppendValue(dst, row[t.ColumnIndex(f.Column)], f.Desc)
+	}
+	return dst, tokenField
+}
+
 // ProducesEntry reports whether row, a record of t, still produces the
 // entry key ekey of ix. An entry whose record no longer produces it is
-// stale: a half-completed update moved the record away from it.
+// stale: a half-completed update moved the record away from it. For a
+// plain index the check encodes the entry's suffix into a stack buffer
+// and builds no key.
 func ProducesEntry(ix *schema.Index, t *schema.Table, row value.Row, ekey []byte) bool {
+	var buf [128]byte
+	suffix, tokenField := appendEntrySuffix(buf[:0], ix, t, row)
+	if tokenField == nil {
+		prefix := IndexPrefix(ix)
+		return bytes.HasPrefix(ekey, prefix) && bytes.Equal(ekey[len(prefix):], suffix)
+	}
 	for _, key := range EntryKeys(ix, t, row) {
 		if bytes.Equal(key, ekey) {
 			return true

@@ -57,10 +57,14 @@ type Client struct {
 	// allocation-lean. Safe because a Client is single-goroutine and
 	// multiGet's Parallel branches only read the scratch, whether they run
 	// on simulated children or (immediate mode) on this client itself.
+	// GetRangeScatter's branches each append to their own sub's kvs: an
+	// immediate-mode branch runs on this client after the previous one
+	// has finished, and a simulated one on a child of its own.
 	byNode map[int][]int // multiGet: unique-key indexes grouped by node
 	ids    []int         // multiGet: deterministic node order
 	order  []int         // multiGet: key indexes sorted for deduplication
 	dups   []int         // multiGet: flattened (dup, first) index pairs
+	kvs    []KV          // range reads: items gathered before the exact-size copy
 }
 
 // NewClient creates a client. proc may be nil for immediate mode.
@@ -855,7 +859,9 @@ type RangeRequest struct {
 // GetRange reads a contiguous key range in order, walking partitions as
 // needed. Each partition visited costs one storage operation. A
 // partition whose replicas are all unreachable is skipped (degraded
-// result) and a *ErrNodeDown is recorded for TakeErr.
+// result) and a *ErrNodeDown is recorded for TakeErr. The result is
+// allocated at its exact length and belongs to the caller: no later
+// call on this client writes to it.
 func (cl *Client) GetRange(req RangeRequest) []KV {
 	rt := cl.c.beginOp()
 	out := cl.getRangeOn(rt, req, func(p int) int { return cl.pickReplica(rt, p) })
@@ -888,11 +894,12 @@ func (cl *Client) getRange(rt *routing, req RangeRequest) []KV {
 
 // getRangeOn walks the partitions intersecting req sequentially, with
 // pick choosing the serving node per partition (-1 = no node can serve
-// the partition; it is skipped and the degradation recorded).
+// the partition; it is skipped and the degradation recorded). The
+// partitions' items are gathered in the client's scratch and copied out
+// once, at the result's exact length.
 func (cl *Client) getRangeOn(rt *routing, req RangeRequest, pick func(p int) int) []KV {
 	nParts := rt.parts()
-	var out []KV
-	remaining := req.Limit
+	buf := cl.kvs[:0]
 
 	visitPartition := func(p int) bool { // returns false when done
 		id := pick(p)
@@ -902,22 +909,16 @@ func (cl *Client) getRangeOn(rt *routing, req RangeRequest, pick func(p int) int
 		}
 		lim := 0
 		if req.Limit > 0 {
-			lim = remaining
+			lim = req.Limit - len(buf)
 		}
-		kvs := cl.c.nodes[id].scan(boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), lim, req.Reverse)
+		from := len(buf)
+		buf = cl.c.nodes[id].scan(buf, boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), lim, req.Reverse)
 		bytesTotal := 0
-		for _, kv := range kvs {
+		for _, kv := range buf[from:] {
 			bytesTotal += len(kv.Value)
 		}
-		cl.visit(id, max(1, len(kvs)), bytesTotal)
-		out = append(out, kvs...)
-		if req.Limit > 0 {
-			remaining -= len(kvs)
-			if remaining <= 0 {
-				return false
-			}
-		}
-		return true
+		cl.visit(id, max(1, len(buf)-from), bytesTotal)
+		return req.Limit <= 0 || len(buf) < req.Limit
 	}
 
 	if !req.Reverse {
@@ -950,7 +951,33 @@ func (cl *Client) getRangeOn(rt *routing, req RangeRequest, pick func(p int) int
 			}
 		}
 	}
+	out := exactKVs(len(buf), buf)
+	cl.kvs = releaseKVs(buf)
 	return out
+}
+
+// exactKVs copies the parts, in order, into one new slice of length and
+// capacity n, stopping once n items are placed. n = 0 yields nil.
+func exactKVs(n int, parts ...[]KV) []KV {
+	if n == 0 {
+		return nil
+	}
+	out := make([]KV, n)
+	at := 0
+	for _, part := range parts {
+		at += copy(out[at:], part)
+		if at == n {
+			break
+		}
+	}
+	return out
+}
+
+// releaseKVs empties a scratch slice for reuse, dropping its references
+// to stored keys and values so the scratch does not keep them alive.
+func releaseKVs(buf []KV) []KV {
+	clear(buf)
+	return buf[:0]
 }
 
 // GetRangeScatter is GetRange for the ParallelExecutor: when the range
@@ -966,6 +993,9 @@ func (cl *Client) getRangeOn(rt *routing, req RangeRequest, pick func(p int) int
 // the per-partition scans run one after another on the caller (see
 // Parallel) but keep the scatter's shape: every intersecting partition
 // is scanned, so results and operation counts match simulated mode.
+// Each branch gathers its items in its own sub client's scratch; the
+// parts are concatenated into one result of exactly the final length,
+// which belongs to the caller as GetRange's does.
 func (cl *Client) GetRangeScatter(req RangeRequest) []KV {
 	rt := cl.c.beginOp()
 	defer cl.c.endOp(rt)
@@ -986,27 +1016,28 @@ func (cl *Client) GetRangeScatter(req RangeRequest) []KV {
 		if id < 0 {
 			return // unreachable partition: degraded result
 		}
-		kvs := cl.c.nodes[id].scan(boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), req.Limit, req.Reverse)
+		from := len(sub.kvs)
+		sub.kvs = cl.c.nodes[id].scan(sub.kvs, boundedStart(rt, p, req.Start), boundedEnd(rt, p, req.End), req.Limit, req.Reverse)
+		part := sub.kvs[from:]
 		payload := 0
-		for _, kv := range kvs {
+		for _, kv := range part {
 			payload += len(kv.Value)
 		}
-		sub.visit(id, max(1, len(kvs)), payload)
-		parts[i] = kvs
+		sub.visit(id, max(1, len(part)), payload)
+		parts[i] = part
 	})
-	var out []KV
+	total := 0
+	for _, part := range parts {
+		total += len(part)
+	}
+	if req.Limit > 0 && total > req.Limit {
+		total = req.Limit
+	}
 	if req.Reverse {
-		for i := len(parts) - 1; i >= 0; i-- {
-			out = append(out, parts[i]...)
-		}
-	} else {
-		for _, kvs := range parts {
-			out = append(out, kvs...)
-		}
+		slices.Reverse(parts)
 	}
-	if req.Limit > 0 && len(out) > req.Limit {
-		out = out[:req.Limit]
-	}
+	out := exactKVs(total, parts...)
+	cl.kvs = releaseKVs(cl.kvs)
 	return out
 }
 

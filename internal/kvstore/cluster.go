@@ -452,7 +452,7 @@ func (c *Cluster) Rebalance() {
 		if src < 0 {
 			continue // whole replica set unreachable; sample what we can
 		}
-		for _, kv := range c.nodes[src].scan(lo, hi, 0, false) {
+		for _, kv := range c.nodes[src].scan(nil, lo, hi, 0, false) {
 			keys = append(keys, kv.Key)
 		}
 	}

@@ -273,26 +273,27 @@ func (n *node) testAndSet(key []byte, claimedEpoch int64, expect, update []byte,
 	return env, true, nil
 }
 
-// scan returns up to limit live items in [start, end), ascending or
-// descending, envelopes stripped and tombstones skipped. limit <= 0
-// means unlimited.
-func (n *node) scan(start, end []byte, limit int, reverse bool) []KV {
+// scan appends up to limit live items in [start, end) to dst, ascending
+// or descending, envelopes stripped and tombstones skipped, and returns
+// the extended slice. limit counts only the items this call appends;
+// limit <= 0 means unlimited.
+func (n *node) scan(dst []KV, start, end []byte, limit int, reverse bool) []KV {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var out []KV
+	base := len(dst)
 	visit := func(it btree.Item) bool {
 		if envIsTombstone(it.Value) {
 			return true
 		}
-		out = append(out, KV{Key: it.Key, Value: envValue(it.Value)})
-		return limit <= 0 || len(out) < limit
+		dst = append(dst, KV{Key: it.Key, Value: envValue(it.Value)})
+		return limit <= 0 || len(dst)-base < limit
 	}
 	if reverse {
 		n.tree.Descend(start, end, visit)
 	} else {
 		n.tree.Ascend(start, end, visit)
 	}
-	return out
+	return dst
 }
 
 // scanRaw returns up to limit stored envelopes in [start, end),
