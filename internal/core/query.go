@@ -198,23 +198,27 @@ func containsToken(text, word string) bool {
 // and local CONTAINS evaluation.
 func Tokenize(text string) []string {
 	var toks []string
+	EachWord(text, func(word string) { toks = append(toks, strings.ToLower(word)) })
+	return toks
+}
+
+// EachWord calls fn with each word of text, in order and as written:
+// the maximal runs of ASCII letters, digits and '_'. Tokenize's tokens
+// are these words lower-cased.
+func EachWord(text string, fn func(word string)) {
 	start := -1
-	flush := func(end int) {
-		if start >= 0 {
-			toks = append(toks, strings.ToLower(text[start:end]))
-			start = -1
-		}
-	}
 	for i, r := range text {
 		isWord := r == '_' || ('0' <= r && r <= '9') || ('a' <= r && r <= 'z') || ('A' <= r && r <= 'Z')
 		if isWord && start < 0 {
 			start = i
-		} else if !isWord {
-			flush(i)
+		} else if !isWord && start >= 0 {
+			fn(text[start:i])
+			start = -1
 		}
 	}
-	flush(len(text))
-	return toks
+	if start >= 0 {
+		fn(text[start:])
+	}
 }
 
 // SortKey is a resolved ORDER BY component over the combined row.

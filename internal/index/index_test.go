@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -203,5 +204,57 @@ func TestRowFromCoveringEntry(t *testing.T) {
 	pkey := EntryKeys(partial, tab, row)[0]
 	if err := RowFromCoveringEntry(partial, tab, pkey, make(value.Row, 3), 0); err == nil {
 		t.Fatal("non-covering index accepted")
+	}
+}
+
+// TestProducesEntryMatchesEntryKeys: ProducesEntry, which builds no
+// key, must agree with membership in EntryKeys for plain and tokenized
+// indexes in both directions — a record produces each of its own
+// entries and exactly those of another record's entries it shares —
+// and must not allocate for short words.
+func TestProducesEntryMatchesEntryKeys(t *testing.T) {
+	cat, tab := thoughtsTable(t)
+	var ixs []*schema.Index
+	for _, spec := range []*schema.Index{
+		{Name: "plain", Table: "thoughts", Fields: []schema.IndexField{{Column: "owner"}, {Column: "timestamp", Desc: true}}},
+		{Name: "ft", Table: "thoughts", Fields: []schema.IndexField{{Column: "text", Token: true}, {Column: "owner"}}},
+		{Name: "ft_desc", Table: "thoughts", Fields: []schema.IndexField{{Column: "text", Token: true, Desc: true}, {Column: "timestamp"}}},
+	} {
+		ix, err := cat.AddIndex(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, ix)
+	}
+	long := "Word_" + string(bytes.Repeat([]byte("x"), 70))
+	texts := []string{"", "The quick brown fox", "the QUICK, slow-fox 42", "fox", long, long + " fox", "héllo wörld fox_1"}
+	rng := rand.New(rand.NewSource(7))
+	var rows []value.Row
+	for i := 0; i < 40; i++ {
+		rows = append(rows, value.Row{
+			value.Str([]string{"ann", "bob"}[rng.Intn(2)]),
+			value.Int(int64(rng.Intn(3))),
+			value.Str(texts[rng.Intn(len(texts))]),
+		})
+	}
+	for _, ix := range ixs {
+		for _, a := range rows {
+			for _, b := range rows {
+				for _, k := range EntryKeys(ix, tab, a) {
+					want := slices.ContainsFunc(EntryKeys(ix, tab, b), func(e []byte) bool { return bytes.Equal(e, k) })
+					if got := ProducesEntry(ix, tab, b, k); got != want {
+						t.Fatalf("%s: ProducesEntry(%v, entry of %v) = %v, want %v", ix.Name, b, a, got, want)
+					}
+				}
+			}
+		}
+	}
+	row := value.Row{value.Str("ann"), value.Int(1), value.Str("The quick brown fox")}
+	for _, ix := range ixs {
+		keys := EntryKeys(ix, tab, row)
+		k := keys[len(keys)-1]
+		if allocs := testing.AllocsPerRun(50, func() { ProducesEntry(ix, tab, row, k) }); allocs != 0 {
+			t.Fatalf("%s: ProducesEntry allocates %v times, want 0", ix.Name, allocs)
+		}
 	}
 }

@@ -130,22 +130,43 @@ func appendEntrySuffix(dst []byte, ix *schema.Index, t *schema.Table, row value.
 
 // ProducesEntry reports whether row, a record of t, still produces the
 // entry key ekey of ix. An entry whose record no longer produces it is
-// stale: a half-completed update moved the record away from it. For a
-// plain index the check encodes the entry's suffix into a stack buffer
-// and builds no key.
+// stale: a half-completed update moved the record away from it. The
+// check builds no key: it encodes the entry's suffix into a stack buffer
+// and, for a tokenized index, matches the token between prefix and
+// suffix against the words of the row's text.
 func ProducesEntry(ix *schema.Index, t *schema.Table, row value.Row, ekey []byte) bool {
 	var buf [128]byte
 	suffix, tokenField := appendEntrySuffix(buf[:0], ix, t, row)
+	prefix := IndexPrefix(ix)
+	if len(ekey) < len(prefix)+len(suffix) || !bytes.HasPrefix(ekey, prefix) || !bytes.HasSuffix(ekey, suffix) {
+		return false
+	}
+	tok := ekey[len(prefix) : len(ekey)-len(suffix)]
 	if tokenField == nil {
-		prefix := IndexPrefix(ix)
-		return bytes.HasPrefix(ekey, prefix) && bytes.Equal(ekey[len(prefix):], suffix)
+		return len(tok) == 0
 	}
-	for _, key := range EntryKeys(ix, t, row) {
-		if bytes.Equal(key, ekey) {
-			return true
+	return hasToken(row[t.ColumnIndex(tokenField.Column)].S, tok, tokenField.Desc)
+}
+
+// hasToken reports whether one of text's tokens (core.Tokenize) encodes,
+// as a key component in direction desc, to enc. Short words are
+// lower-cased and encoded on the stack.
+func hasToken(text string, enc []byte, desc bool) bool {
+	found := false
+	core.EachWord(text, func(word string) {
+		if found {
+			return
 		}
-	}
-	return false
+		var low, key [64]byte
+		w := append(low[:0], word...)
+		for i, c := range w {
+			if 'A' <= c && c <= 'Z' {
+				w[i] = c + 'a' - 'A'
+			}
+		}
+		found = bytes.Equal(codec.AppendValue(key[:0], value.Str(string(w)), desc), enc)
+	})
+	return found
 }
 
 // entryDesc returns the desc flags of an entry key's components: the
