@@ -188,7 +188,7 @@ func decodeValue(b []byte, desc bool) (value.Value, []byte, error) {
 		}
 		return value.Float(floatFromSortBits(binary.BigEndian.Uint64(raw))), b[9:], nil
 	case tagString, tagBytes:
-		payload, tail, err := decodeEscaped(b[1:], desc)
+		payload, tail, err := decodeEscaped(make([]byte, 0, len(b)-1), b[1:], desc)
 		if err != nil {
 			return value.Value{}, nil, err
 		}
@@ -201,8 +201,9 @@ func decodeValue(b []byte, desc bool) (value.Value, []byte, error) {
 	}
 }
 
-func decodeEscaped(b []byte, desc bool) (payload, tail []byte, err error) {
-	out := make([]byte, 0, len(b))
+// decodeEscaped appends the payload of the escaped field at the front
+// of b to out and returns it with the bytes after the field.
+func decodeEscaped(out, b []byte, desc bool) (payload, tail []byte, err error) {
 	i := 0
 	for {
 		if i >= len(b) {
@@ -234,6 +235,24 @@ func decodeEscaped(b []byte, desc bool) (payload, tail []byte, err error) {
 			return nil, nil, fmt.Errorf("bad escape 0x%02x in string key", next)
 		}
 	}
+}
+
+// AppendStringPayload decodes enc, which must be exactly one string
+// component encoded in direction desc, and appends the string's bytes
+// to dst. ok is false when enc is anything else.
+func AppendStringPayload(dst, enc []byte, desc bool) (out []byte, ok bool) {
+	if len(enc) == 0 {
+		return dst, false
+	}
+	tag := enc[0]
+	if desc {
+		tag = ^tag
+	}
+	if tag != tagString {
+		return dst, false
+	}
+	out, tail, err := decodeEscaped(dst, enc[1:], desc)
+	return out, err == nil && len(tail) == 0
 }
 
 func floatFromSortBits(u uint64) float64 {

@@ -220,3 +220,30 @@ func sign(x int) int {
 		return 0
 	}
 }
+
+// TestAppendStringPayload: the payload of one encoded string component
+// decodes back to the string in both directions, appended to dst, and
+// anything that is not exactly one string component is refused.
+func TestAppendStringPayload(t *testing.T) {
+	for _, desc := range []bool{Asc, Desc} {
+		for _, s := range []string{"", "fox", "a\x00b\x00", "\xff\x01"} {
+			enc := AppendValue(nil, value.Str(s), desc)
+			got, ok := AppendStringPayload([]byte("pre:"), enc, desc)
+			if !ok || string(got) != "pre:"+s {
+				t.Fatalf("desc=%v %q: got %q, %v", desc, s, got, ok)
+			}
+			for _, bad := range [][]byte{
+				nil,
+				enc[:len(enc)-1],                   // truncated terminator
+				append(enc[:len(enc):len(enc)], 0), // trailing byte
+				AppendValue(nil, value.Str(s), !desc),
+				AppendValue(nil, value.Bytes([]byte(s)), desc),
+				AppendValue(nil, value.Int(7), desc),
+			} {
+				if _, ok := AppendStringPayload(nil, bad, desc); ok {
+					t.Fatalf("desc=%v: accepted %x", desc, bad)
+				}
+			}
+		}
+	}
+}

@@ -148,23 +148,30 @@ func ProducesEntry(ix *schema.Index, t *schema.Table, row value.Row, ekey []byte
 	return hasToken(row[t.ColumnIndex(tokenField.Column)].S, tok, tokenField.Desc)
 }
 
-// hasToken reports whether one of text's tokens (core.Tokenize) encodes,
-// as a key component in direction desc, to enc. Short words are
-// lower-cased and encoded on the stack.
+// hasToken reports whether one of text's tokens (core.Tokenize: its
+// words, lower-cased) is the string encoded in enc as a key component in
+// direction desc. A token of up to 64 bytes is decoded on the stack.
 func hasToken(text string, enc []byte, desc bool) bool {
+	var buf [64]byte
+	tok, ok := codec.AppendStringPayload(buf[:0], enc, desc)
+	if !ok {
+		return false
+	}
 	found := false
 	core.EachWord(text, func(word string) {
-		if found {
+		if found || len(word) != len(tok) {
 			return
 		}
-		var low, key [64]byte
-		w := append(low[:0], word...)
-		for i, c := range w {
+		for i := 0; i < len(word); i++ {
+			c := word[i]
 			if 'A' <= c && c <= 'Z' {
-				w[i] = c + 'a' - 'A'
+				c += 'a' - 'A'
+			}
+			if c != tok[i] {
+				return
 			}
 		}
-		found = bytes.Equal(codec.AppendValue(key[:0], value.Str(string(w)), desc), enc)
+		found = true
 	})
 	return found
 }
