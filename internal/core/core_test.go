@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -416,6 +417,10 @@ func TestTokenize(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Tokenize = %v, want %v", got, want)
 		}
+	}
+	// Multi-byte runes (and a stray invalid byte) separate words.
+	if got, want := Tokenize("héllo Wörld\xffx ü"), []string{"h", "llo", "w", "rld", "x"}; !slices.Equal(got, want) {
+		t.Fatalf("Tokenize = %v, want %v", got, want)
 	}
 	if toks := Tokenize(""); len(toks) != 0 {
 		t.Errorf("empty tokenize = %v", toks)

@@ -204,11 +204,14 @@ func Tokenize(text string) []string {
 
 // EachWord calls fn with each word of text, in order and as written:
 // the maximal runs of ASCII letters, digits and '_'. Tokenize's tokens
-// are these words lower-cased.
+// are these words lower-cased. Every byte of a multi-byte UTF-8
+// sequence is at least 0x80, so a byte-wise scan splits text exactly
+// where a rune-wise one would.
 func EachWord(text string, fn func(word string)) {
 	start := -1
-	for i, r := range text {
-		isWord := r == '_' || ('0' <= r && r <= '9') || ('a' <= r && r <= 'z') || ('A' <= r && r <= 'Z')
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		isWord := c == '_' || ('0' <= c && c <= '9') || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
 		if isWord && start < 0 {
 			start = i
 		} else if !isWord && start >= 0 {
