@@ -156,7 +156,7 @@ func (p LocalPred) Eval(row value.Row, params []value.Value) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		return containsToken(lhs.S, rhs.S), nil
+		return ContainsToken(lhs.S, rhs.S), nil
 	}
 	rhs, err := p.RHS.Eval(params, row)
 	if err != nil {
@@ -181,16 +181,29 @@ func (p LocalPred) Eval(row value.Row, params []value.Value) (bool, error) {
 	}
 }
 
-// containsToken reports whether text contains word as a full token under
-// the same tokenizer the full-text index uses.
-func containsToken(text, word string) bool {
+// ContainsToken reports whether text contains word as a full token under
+// the same tokenizer the full-text index uses. Tokens are ASCII, so a
+// word is compared with its lower-cased form byte by byte, without
+// building the token list.
+func ContainsToken(text, word string) bool {
 	want := strings.ToLower(word)
-	for _, tok := range Tokenize(text) {
-		if tok == want {
-			return true
+	found := false
+	EachWord(text, func(w string) {
+		if found || len(w) != len(want) {
+			return
 		}
-	}
-	return false
+		for i := 0; i < len(w); i++ {
+			c := w[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != want[i] {
+				return
+			}
+		}
+		found = true
+	})
+	return found
 }
 
 // Tokenize splits text into lower-cased alphanumeric tokens. It is the

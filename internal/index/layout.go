@@ -148,32 +148,13 @@ func ProducesEntry(ix *schema.Index, t *schema.Table, row value.Row, ekey []byte
 	return hasToken(row[t.ColumnIndex(tokenField.Column)].S, tok, tokenField.Desc)
 }
 
-// hasToken reports whether one of text's tokens (core.Tokenize: its
-// words, lower-cased) is the string encoded in enc as a key component in
-// direction desc. A token of up to 64 bytes is decoded on the stack.
+// hasToken reports whether text has the token encoded in enc as a key
+// component in direction desc. A token of up to 32 bytes is decoded and
+// compared on the stack.
 func hasToken(text string, enc []byte, desc bool) bool {
-	var buf [64]byte
+	var buf [32]byte
 	tok, ok := codec.AppendStringPayload(buf[:0], enc, desc)
-	if !ok {
-		return false
-	}
-	found := false
-	core.EachWord(text, func(word string) {
-		if found || len(word) != len(tok) {
-			return
-		}
-		for i := 0; i < len(word); i++ {
-			c := word[i]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c != tok[i] {
-				return
-			}
-		}
-		found = true
-	})
-	return found
+	return ok && core.ContainsToken(text, string(tok))
 }
 
 // entryDesc returns the desc flags of an entry key's components: the
