@@ -241,22 +241,17 @@ func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset in
 	}
 	recs := e.getBatch(keys)
 	var rows []value.Row
-	var row value.Row // reused after a stale record
 	for i, rec := range recs {
 		if rec == nil {
 			continue // dangling entry awaiting GC
 		}
-		if row == nil {
-			row = e.newRow()
-		}
+		row := e.newRow()
 		if err := placeRecord(row, offset, rec); err != nil {
 			return nil, err
 		}
-		if !index.ProducesEntry(ix, table, row[offset:], kvs[i].Key) {
-			continue
+		if index.ProducesEntry(ix, table, row[offset:], kvs[i].Key) {
+			rows = append(rows, row)
 		}
-		rows = append(rows, row)
-		row = nil
 	}
 	return rows, nil
 }
