@@ -25,14 +25,14 @@ func TestProjectionInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rows []value.Row
-		for _, u := range []string{"u01", "u04"} {
-			res, err := q.Execute(s, value.Str(u))
+		for _, c := range []struct{ user, home string }{{"u01", "h0"}, {"u04", "h1"}} {
+			res, err := q.Execute(s, value.Str(c.user))
 			if err != nil {
 				t.Fatal(err)
 			}
-			home := map[string]string{"u01": "h0", "u04": "h1"}[u]
-			if len(res.Rows) != 1 || !slices.Equal(strs(res.Rows[0]), []string{u, home, u, home, u}) {
-				t.Fatalf("%v %s: got %v", strat, u, res.Rows)
+			want := []string{c.user, c.home, c.user, c.home, c.user}
+			if len(res.Rows) != 1 || !slices.Equal(strs(res.Rows[0]), want) {
+				t.Fatalf("%v %s: got %v, want [%v]", strat, c.user, res.Rows, want)
 			}
 			rows = append(rows, res.Rows...)
 		}
