@@ -455,42 +455,66 @@ func TestSortedJoinMergeEquivalence(t *testing.T) {
 // TestIndexScanSkipsStaleEntries: an IndexScan over a secondary index
 // holding a stale entry (the merge fixture's a-t1-08, moved from ts 8 to
 // ts 1 with its old entry left behind) must never return the record at
-// the stale entry's position: at every LIMIT, and across PAGINATE pages,
-// under every strategy, the ids come out once each and in ts order — a
-// subsequence of the live reference. The skipped entry still counts
-// against the fetch limit, as a dangling one does, so a result may be
-// one row short.
+// the stale entry's position, and a page the skipped entry shortens
+// must not end the cursor.
 func TestIndexScanSkipsStaleEntries(t *testing.T) {
 	s, _, articlesRef := newMergeFixture(t)
+	sql := `SELECT id FROM articles WHERE author = 't1' ORDER BY ts DESC %s`
+	runEveryLimitAndPage(t, s, "IndexScan", sql, len(t1Articles(articlesRef)), checkSkipsOneStale(t, t1Articles(articlesRef)))
+}
+
+// TestSortedJoinShortPageContinues: a SortedIndexJoin with one stream,
+// t1's articles, whose batch holds the stale entry builds a short page;
+// the cursor must go on to the stream's live rows, also when a whole
+// batch is the stale entry (PAGINATE 1).
+func TestSortedJoinShortPageContinues(t *testing.T) {
+	s, _, articlesRef := newMergeFixture(t)
+	if err := s.Exec(`INSERT INTO subscriptions VALUES ('u01', 't1', true)`); err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT a.id FROM subscriptions s JOIN articles a
+		WHERE a.author = s.target AND s.owner = 'u01' AND s.approved = true
+		ORDER BY a.ts DESC %s`
+	runEveryLimitAndPage(t, s, "SortedIndexJoin", sql, len(t1Articles(articlesRef)), checkSkipsOneStale(t, t1Articles(articlesRef)))
+}
+
+// t1Articles returns the ids of t1's live articles, newest first.
+func t1Articles(articlesRef []mergeRef) []string {
 	var t1 []mergeRef
 	for _, r := range articlesRef {
 		if strings.HasPrefix(r.id, "a-t1-") {
 			t1 = append(t1, r)
 		}
 	}
-	want := refIDs(t1)
-	sql := `SELECT id FROM articles WHERE author = 't1' ORDER BY ts DESC %s`
-	runEveryLimitAndPage(t, s, "IndexScan", sql, len(want), func(label string, n int, got []string) {
-		at := -1
-		for _, id := range got {
-			i := slices.Index(want, id)
-			if i <= at {
-				t.Fatalf("%s: got %v, not a subsequence of %v (duplicate or out of ts order)", label, got, want)
+	return refIDs(t1)
+}
+
+// checkSkipsOneStale is the runEveryLimitAndPage check for a scan whose
+// range holds want's rows and one stale entry. A LIMIT n result is a
+// prefix of want, at most one row short of n: the skipped entry counts
+// against the fetch limit, as a dangling one does. The pages together
+// are exactly want.
+func checkSkipsOneStale(t *testing.T, want []string) func(label string, n int, got []string) {
+	return func(label string, n int, got []string) {
+		t.Helper()
+		if n == 0 {
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: got %v, want %v", label, got, want)
 			}
-			at = i
+			return
 		}
-		if n > 0 && len(got) < n-1 {
-			t.Fatalf("%s: got %d rows %v, want at least %d", label, len(got), got, n-1)
+		if len(got) > n || len(got) < n-1 || !slices.Equal(got, want[:len(got)]) {
+			t.Fatalf("%s: got %v, want a prefix of %v with %d or %d rows", label, got, want, n-1, n)
 		}
-	})
+	}
 }
 
 // runEveryLimitAndPage runs sql, whose %s takes the LIMIT or PAGINATE
 // clause and whose plan must contain op, under every strategy: at every
-// LIMIT n from 1 to maxLimit, then through a cursor paginating by 2 (a
-// page boundary inside a run of ties). check receives each LIMIT
-// result's first column with its n, and the pages' concatenated first
-// column with n = 0.
+// LIMIT n from 1 to maxLimit, then through cursors paginating by 1 and
+// by 2 (a page boundary inside a run of ties). check receives each
+// LIMIT result's first column with its n, and each cursor's
+// concatenated first column with n = 0.
 func runEveryLimitAndPage(t *testing.T, s *Session, op, sql string, maxLimit int, check func(label string, n int, got []string)) {
 	t.Helper()
 	prepare := func(sql string) *Prepared {
@@ -504,7 +528,6 @@ func runEveryLimitAndPage(t *testing.T, s *Session, op, sql string, maxLimit int
 		}
 		return q
 	}
-	const page = 2
 	for _, strat := range []exec.Strategy{exec.Lazy, exec.Simple, exec.Parallel} {
 		s.SetStrategy(strat)
 		for n := 1; n <= maxLimit; n++ {
@@ -514,22 +537,28 @@ func runEveryLimitAndPage(t *testing.T, s *Session, op, sql string, maxLimit int
 			}
 			check(fmt.Sprintf("(%v) LIMIT %d", strat, n), n, firstCol(res.Rows))
 		}
-		cur, err := prepare(fmt.Sprintf(sql, fmt.Sprintf("PAGINATE %d", page))).Paginate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var paged []string
-		for !cur.Done() && len(paged) <= maxLimit {
-			res, err := cur.Next(s)
+		for _, page := range []int{1, 2} {
+			cur, err := prepare(fmt.Sprintf(sql, fmt.Sprintf("PAGINATE %d", page))).Paginate()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res == nil {
-				break
+			var paged []string
+			// A page may be empty, so bound the pages, not only the rows.
+			for pages := 0; !cur.Done() && len(paged) <= maxLimit; pages++ {
+				if pages > 2*maxLimit+2 {
+					t.Fatalf("(%v) PAGINATE %d does not terminate: %d pages, rows %v", strat, page, pages, paged)
+				}
+				res, err := cur.Next(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res == nil {
+					break
+				}
+				paged = append(paged, firstCol(res.Rows)...)
 			}
-			paged = append(paged, firstCol(res.Rows)...)
+			check(fmt.Sprintf("(%v) PAGINATE %d", strat, page), 0, paged)
 		}
-		check(fmt.Sprintf("(%v) PAGINATE %d", strat, page), 0, paged)
 	}
 }
 

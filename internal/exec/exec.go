@@ -87,7 +87,11 @@ type Result struct {
 	Rows []value.Row
 	// Names are the output column names.
 	Names []string
-	// More reports whether a paginated query may have further pages.
+	// More reports whether a paginated query may have further pages: the
+	// page is full, or the operator driving pagination filled its fetch
+	// batch (rows it fetched may have been dropped — dangling or stale
+	// index entries, residual predicates, inner joins — so a short page
+	// does not mean the range is exhausted).
 	More bool
 	// Resume is the cursor state for the next page (nil when done or
 	// not paginated).
@@ -123,7 +127,7 @@ func Run(plan *core.Plan, ctx *Ctx) (*Result, error) {
 	}
 	res := &Result{Rows: rows, Names: plan.OutputNames}
 	if plan.PageSize > 0 {
-		res.More = len(rows) == plan.PageSize
+		res.More = len(rows) == plan.PageSize || e.driverFull
 		if res.More {
 			res.Resume = e.nextResume
 		}
@@ -137,6 +141,9 @@ type executor struct {
 	remoteSeq  int
 	nextResume ResumeState
 	driverOrd  int
+	// driverFull records that the pagination driver's fetch returned as
+	// many entries as it asked for, so its range may hold more.
+	driverFull bool
 }
 
 // nextRemoteOrdinal returns the next remote operator's ordinal and its

@@ -181,6 +181,11 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 		}
 	}
 	kvs := e.fetchRange(start, end, limit, reverse)
+	// A full batch may have entries behind it even when the rows built
+	// from it fall short of a page (see derefEntries, Residual).
+	if ord == e.driverOrd && limit > 0 && len(kvs) == limit {
+		e.driverFull = true
+	}
 	if len(kvs) > 0 {
 		e.storeResume(ord, kvs[len(kvs)-1].Key)
 	} else {
@@ -233,7 +238,9 @@ func appendEntryRecordKeys(dst [][]byte, ix *schema.Index, table *schema.Table, 
 // (dangling entries) are skipped, and so are records that no longer
 // produce their entry: a stale entry, left by a half-completed update,
 // sits at the record's old position, and the record's live entry emits
-// it once, in order and inside the scanned range.
+// it once, in order and inside the scanned range. A skipped entry still
+// counts against the fetch limit, so the result may be short; a cursor
+// still continues past it (Result.More).
 func (e *executor) derefEntries(ix *schema.Index, table *schema.Table, offset int, kvs []kvstore.KV) ([]value.Row, error) {
 	keys, err := appendEntryRecordKeys(make([][]byte, 0, len(kvs)), ix, table, kvs)
 	if err != nil {
@@ -481,6 +488,21 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin, limit int) ([]value.Ro
 			live = live[:len(live)-1]
 		}
 		siftDown(live, 0, less)
+	}
+	if e.plan.PageSize > 0 && len(out) <= e.plan.PageSize {
+		for i := range scans {
+			sc := &scans[i]
+			// A stream that filled its batch may have more entries.
+			if ord == e.driverOrd && n.PerKeyLimit > 0 && len(sc.kvs) == n.PerKeyLimit {
+				e.driverFull = true
+			}
+			// A drained stream consumed or skipped its whole batch: resume
+			// past the last entry fetched, so a batch whose every entry
+			// was skipped still moves the cursor on.
+			if sc.head == nil && len(sc.kvs) > 0 {
+				sc.last = suffixOf(sc.kvs[len(sc.kvs)-1].Key, sc.prefix)
+			}
+		}
 	}
 	// Streams this page did not touch keep their previous position.
 	if e.plan.PageSize > 0 {
