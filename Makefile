@@ -2,7 +2,7 @@
 # regression) fails it before anything else runs.
 GO ?= go
 
-.PHONY: all ci vet lint lint-changed build test race chaos chaos-faults bench bench-all bench-smoke experiments
+.PHONY: all ci vet lint build test race chaos chaos-faults bench bench-all bench-smoke experiments
 
 all: ci
 
@@ -16,32 +16,28 @@ ci: lint build race chaos-faults bench-smoke
 vet:
 	$(GO) vet ./...
 
-# lint is the static gate: formatting, the standard vet analyzers, and
-# the project's own twelve analyzers (internal/lint) —
-# routing-snapshot claims, envelope integrity, virtual clock
-# discipline (sleeps and wall-clock timers), lock-order cycles,
-# blocking-under-mutex, transient-error taxonomy conformance,
-# goroutine-lifecycle termination (goroleak), release-on-all-exits for
-# mutexes and beginOp/endOp claims (releasepath), the hot-path
-# heap-escape budget (escapebudget), and the three dataflow analyzers
-# built on the def-use core: atomic/plain access mixing and
-# copy-on-write of atomically published tables, lease tables included
-# (atomicmix), snapshot lifetime escapes (snapshotescape), and
-# cancel-func leak paths (cancelpath). Per-function facts (locks held,
-# may-block, error types, net acquire/release, park risk, atomic
-# fields, acquire-helper results) propagate across packages, so
-# diagnostics here are interprocedural. Suppressions are //lint:allow
-# directives at the annotated site; stale or misnamed directives are
-# themselves findings. See the "Static analysis" section of README.md.
+# lint is the static gate: formatting, the standard vet analyzers
+# (whose lostcancel check covers cancel-func leak paths), and the
+# project's own eleven analyzers (internal/lint) — routing-snapshot
+# claims, envelope integrity, virtual clock discipline (sleeps and
+# wall-clock timers), lock-order cycles, blocking-under-mutex,
+# transient-error taxonomy conformance, goroutine-lifecycle
+# termination (goroleak), release-on-all-exits for mutexes and
+# beginOp/endOp claims (releasepath), the hot-path heap-escape budget
+# (escapebudget), and the two value-provenance analyzers:
+# atomic/plain access mixing and copy-on-write of atomically published
+# tables, lease tables included (atomicmix), and snapshot lifetime
+# escapes (snapshotescape). Per-function facts (locks held, may-block,
+# error types, net acquire/release, park risk, atomic fields,
+# acquire-helper results) propagate across packages, so diagnostics
+# here are interprocedural. Suppressions are //lint:allow directives
+# at the annotated site; stale or misnamed directives are themselves
+# findings. See the "Static analysis" section of README.md.
 #
-# The tree-wide run uses -cache: per-package facts and diagnostics are
-# keyed by a content hash (files + dependency facts + tool binary)
-# under bin/lintcache, so a warm `make lint` replays in seconds and
-# any source or tool change invalidates exactly the affected packages.
-# Findings are also written as bin/lint-findings.json (the -json
-# payload, which always includes a "timing" entry recording elapsed
-# time and the analyzed/replayed split — compare a cold run against a
-# warm one), which `make ci` publishes as its lint artifact.
+# Every run analyzes the whole module from source. Findings are also
+# written as bin/lint-findings.json (the -json payload, an empty
+# object on a clean tree), which `make ci` publishes as its lint
+# artifact.
 #
 # The escape gate compares `go build -gcflags=-m` attribution against
 # the checked-in escape.budget. After deliberately changing a hot
@@ -63,7 +59,7 @@ lint:
 		echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
-	$(VETTOOL) -cache bin/lintcache -json ./... > bin/lint-findings.json || \
+	$(VETTOOL) -json ./... > bin/lint-findings.json || \
 		{ cat bin/lint-findings.json; exit 1; }
 	@if [ "$(ESCAPE_BUDGET)" = "update" ]; then \
 		echo "$(VETTOOL) -escapebudget -update ./..."; \
@@ -72,18 +68,6 @@ lint:
 		echo "$(VETTOOL) -escapebudget ./..."; \
 		$(VETTOOL) -escapebudget ./...; \
 	fi
-
-# lint-changed runs the analyzers over only the packages whose files
-# differ from the merge-base with LINT_BASE (default HEAD: the working
-# tree's uncommitted edits), plus their module-local dependents — the
-# fast inner-loop check before a full `make lint`. Every package still
-# runs so cross-package facts stay coherent; the cache makes the
-# unchanged ones replays, and only the affected set is reported.
-LINT_BASE ?= HEAD
-
-lint-changed:
-	$(GO) build -o $(VETTOOL) ./cmd/piql-vet
-	$(VETTOOL) -cache bin/lintcache -changed $(LINT_BASE) ./...
 
 build:
 	$(GO) build ./...

@@ -4,16 +4,8 @@
 //
 //	go build -o bin/piql-vet ./cmd/piql-vet
 //	piql-vet ./...                    # every analyzer over every package
-//	piql-vet -json ./...              # findings as JSON, plus a "timing"
-//	                                  # entry (elapsed, analyzed vs replayed)
+//	piql-vet -json ./...              # findings as JSON
 //	piql-vet -lockgraph ./...         # also print the inferred lock hierarchy
-//	piql-vet -cache DIR ./...         # incremental: replay per-package
-//	                                  # results keyed by content+facts
-//	piql-vet -changed BASE ./...      # report only packages differing from
-//	                                  # the merge-base with BASE, plus
-//	                                  # their module-local dependents
-//	piql-vet -dataflow FUNC           # dump FUNC's def-use chains
-//	                                  # (dataflow core debug printer)
 //	piql-vet -escapebudget [-update]  # hot-path heap-escape gate
 //	                                  # (runs go build -gcflags=-m)
 //	piql-vet -C DIR ...               # run as if started in DIR
@@ -32,7 +24,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -46,7 +37,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"piql/internal/lint"
 )
@@ -60,13 +50,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("piql-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "print findings as JSON on stdout, with a timing entry")
+	jsonOut := fs.Bool("json", false, "print findings as JSON on stdout")
 	lockgraph := fs.Bool("lockgraph", false, "print the inferred lock hierarchy")
 	escBudget := fs.Bool("escapebudget", false, "run only the hot-path heap-escape gate")
 	escUpdate := fs.Bool("update", false, "with -escapebudget, rewrite escape.budget to the measured counts")
-	cacheDir := fs.String("cache", "", "replay unchanged packages' results from `dir`")
-	changed := fs.String("changed", "", "report only packages changed since the merge-base with git `ref`, plus their dependents")
-	dataflowFn := fs.String("dataflow", "", "print the def-use chains of `func` and exit")
 	chdir := fs.String("C", ".", "run as if started in `dir`")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -80,13 +67,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	switch {
-	case *escBudget:
+	if *escBudget {
 		return runEscapeBudget(*chdir, *escUpdate, *jsonOut, stdout, stderr)
-	case *dataflowFn != "":
-		return runDataflowDump(*chdir, *dataflowFn, stdout, stderr)
 	}
-	return runModule(*chdir, *cacheDir, *changed, *jsonOut, *lockgraph, stdout, stderr)
+	if *escUpdate {
+		fmt.Fprintln(stderr, "piql-vet: -update rewrites escape.budget and needs -escapebudget")
+		return 1
+	}
+	return runModule(*chdir, *jsonOut, *lockgraph, stdout, stderr)
 }
 
 // runEscapeBudget is the escapebudget analyzer's driver: it needs the
@@ -219,7 +207,7 @@ func runEscapeBudget(start string, update, jsonOut bool, stdout, stderr io.Write
 				fn, measured[fn], counts[fn])
 		}
 	}
-	return emit(all, jsonOut, nil, stdout, stderr)
+	return emit(all, jsonOut, stdout, stderr)
 }
 
 func sortedKeys(m map[string]map[string]int) []string {
@@ -231,38 +219,10 @@ func sortedKeys(m map[string]map[string]int) []string {
 	return out
 }
 
-// runTiming is the run record every -json payload of a module run
-// carries: wall-clock for the whole run and how many packages were
-// analyzed rather than replayed from cache. Comparing a cold run
-// (analyzed == packages) with a warm one (replayed == packages) is the
-// lint-timing record make lint keeps in bin/lint-findings.json.
-type runTiming struct {
-	ElapsedMS int64 `json:"elapsed_ms"`
-	Packages  int   `json:"packages"`
-	Analyzed  int   `json:"analyzed"`
-	Replayed  int   `json:"replayed"`
-}
-
-// cacheEntry is one package's cached lint result. Its key (the file
-// name) is a hash of the tool, the package's file contents, and its
-// module-local dependencies' encoded facts — so an edit anywhere
-// invalidates exactly the edited package and its transitive
-// dependents, and a tool rebuild invalidates everything.
-type cacheEntry struct {
-	Diags []lint.Diagnostic `json:"diags,omitempty"`
-	Facts json.RawMessage   `json:"facts,omitempty"`
-}
-
 // runModule analyzes every package of the module in dependency order,
-// threading facts in memory. With a cache directory it is incremental:
-// a package whose files, dependencies' facts, and tool binary are all
-// unchanged replays its cached diagnostics and facts instead of being
-// typechecked, so a warm clean tree replays entirely. With -changed
-// BASE, every package still contributes facts, but only packages
-// differing from the merge-base with BASE — or depending on one that
-// does — report diagnostics.
-func runModule(start, cacheDir, changedBase string, jsonOut, lockgraph bool, stdout, stderr io.Writer) int {
-	startTime := time.Now()
+// threading facts in memory: each package's facts are in the store
+// before any package that imports it is analyzed.
+func runModule(start string, jsonOut, lockgraph bool, stdout, stderr io.Writer) int {
 	loader, err := lint.NewLoader(start)
 	if err != nil {
 		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
@@ -273,50 +233,9 @@ func runModule(start, cacheDir, changedBase string, jsonOut, lockgraph bool, std
 		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
 		return 1
 	}
-	var affected map[string]bool
-	if changedBase != "" {
-		affected, err = changedPackages(start, changedBase, scan)
-		if err != nil {
-			fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-			return 1
-		}
-		if len(affected) == 0 {
-			fmt.Fprintf(stderr, "piql-vet: no module packages changed relative to %s\n", changedBase)
-			return emit(map[string][]lint.Diagnostic{}, jsonOut, nil, stdout, stderr)
-		}
-	}
-	var salt string
-	if cacheDir != "" {
-		if err := os.MkdirAll(cacheDir, 0o777); err != nil {
-			fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-			return 1
-		}
-		salt = toolSalt()
-	}
 	store := lint.NewFactStore()
-	factBytes := map[string][]byte{}
 	all := map[string][]lint.Diagnostic{}
-	record := func(path string, diags []lint.Diagnostic, facts *lint.PackageFacts) {
-		if len(diags) > 0 {
-			all[path] = diags
-		}
-		store.Add(path, facts)
-	}
-	replayed := 0
 	for _, sp := range scan {
-		var entryPath string
-		if cacheDir != "" {
-			if entryPath, err = cacheEntryPath(cacheDir, salt, sp, factBytes); err != nil {
-				fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-				return 1
-			}
-			if ce, facts, ok := readCacheEntry(entryPath, sp.ImportPath, stderr); ok {
-				record(sp.ImportPath, ce.Diags, facts)
-				factBytes[sp.ImportPath] = ce.Facts
-				replayed++
-				continue
-			}
-		}
 		unit, err := loader.LoadDir(sp.Dir, sp.ImportPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "piql-vet: %v\n", err)
@@ -324,16 +243,10 @@ func runModule(start, cacheDir, changedBase string, jsonOut, lockgraph bool, std
 		}
 		unit.Facts = store
 		diags, facts := lint.RunUnit(unit, lint.Analyzers)
-		record(sp.ImportPath, diags, facts)
-		if entryPath != "" {
-			enc := lint.EncodeFacts(facts)
-			factBytes[sp.ImportPath] = enc
-			if out, err := json.Marshal(cacheEntry{Diags: diags, Facts: enc}); err == nil {
-				if werr := os.WriteFile(entryPath, out, 0o666); werr != nil {
-					fmt.Fprintf(stderr, "piql-vet: writing cache entry: %v\n", werr)
-				}
-			}
+		if len(diags) > 0 {
+			all[sp.ImportPath] = diags
 		}
+		store.Add(sp.ImportPath, facts)
 	}
 	if lockgraph {
 		fmt.Fprintln(stdout, "lock hierarchy (acquired-while-held, roots first):")
@@ -341,177 +254,14 @@ func runModule(start, cacheDir, changedBase string, jsonOut, lockgraph bool, std
 			fmt.Fprintln(stdout, "  "+line)
 		}
 	}
-	filterAffected(all, affected)
-	return emit(all, jsonOut, &runTiming{
-		ElapsedMS: time.Since(startTime).Milliseconds(),
-		Packages:  len(scan),
-		Analyzed:  len(scan) - replayed,
-		Replayed:  replayed,
-	}, stdout, stderr)
-}
-
-// cacheEntryPath keys one package's cache entry by the tool salt, the
-// package's file contents, and its module-local dependencies' encoded
-// facts (already computed: the scan is in dependency order).
-func cacheEntryPath(cacheDir, salt string, sp *lint.ScannedPackage, factBytes map[string][]byte) (string, error) {
-	h := sha256.New()
-	io.WriteString(h, "piql-vet lint cache v1\n")
-	io.WriteString(h, salt+"\n")
-	io.WriteString(h, sp.ImportPath+"\n")
-	for _, file := range sp.Files {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "file %s %d\n", filepath.Base(file), len(data))
-		h.Write(data)
-	}
-	for _, dep := range sp.LocalImports {
-		fmt.Fprintf(h, "dep %s %d\n", dep, len(factBytes[dep]))
-		h.Write(factBytes[dep])
-	}
-	return filepath.Join(cacheDir, fmt.Sprintf("%02x", h.Sum(nil))+".json"), nil
-}
-
-// readCacheEntry replays one package's entry. A missing entry is a
-// plain miss; a corrupt entry under a valid key is reported and
-// recomputed, never trusted.
-func readCacheEntry(entryPath, importPath string, stderr io.Writer) (cacheEntry, *lint.PackageFacts, bool) {
-	var ce cacheEntry
-	data, err := os.ReadFile(entryPath)
-	if err != nil {
-		return ce, nil, false
-	}
-	if json.Unmarshal(data, &ce) == nil {
-		if facts, err := lint.DecodeFacts(ce.Facts); err == nil {
-			return ce, facts, true
-		}
-	}
-	fmt.Fprintf(stderr, "piql-vet: discarding corrupt cache entry for %s\n", importPath)
-	return ce, nil, false
-}
-
-// runDataflowDump is the -dataflow debug printer: it typechecks the
-// module and prints the def-use chains of every function matching the
-// given name (bare, method-key, or package-qualified).
-func runDataflowDump(start, name string, stdout, stderr io.Writer) int {
-	loader, err := lint.NewLoader(start)
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	scan, err := loader.ScanModule()
-	if err != nil {
-		fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-		return 1
-	}
-	found := false
-	for _, sp := range scan {
-		unit, err := loader.LoadDir(sp.Dir, sp.ImportPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "piql-vet: %v\n", err)
-			return 1
-		}
-		if dump, ok := lint.DumpDefUse(unit, name); ok {
-			found = true
-			io.WriteString(stdout, dump)
-		}
-	}
-	if !found {
-		fmt.Fprintf(stderr, "piql-vet: -dataflow: no function matches %q (try a bare name, \"(*Type).Method\", or \"pkg.Func\")\n", name)
-		return 1
-	}
-	return 0
-}
-
-// changedPackages maps `git diff --name-only` against the merge-base
-// with base (plus untracked files) to the module packages whose
-// directories contain a changed file, expanded to their module-local
-// dependents — an edit to a package invalidates every package whose
-// analysis could see it through facts.
-func changedPackages(start, base string, scan []*lint.ScannedPackage) (map[string]bool, error) {
-	topOut, err := exec.Command("git", "-C", start, "rev-parse", "--show-toplevel").Output()
-	if err != nil {
-		return nil, fmt.Errorf("-changed needs a git checkout: %v", err)
-	}
-	top := strings.TrimSpace(string(topOut))
-	ref := base
-	if out, err := exec.Command("git", "-C", start, "merge-base", "HEAD", base).Output(); err == nil {
-		if mb := strings.TrimSpace(string(out)); mb != "" {
-			ref = mb
-		}
-	}
-	diff, err := exec.Command("git", "-C", start, "diff", "--name-only", ref, "--").Output()
-	if err != nil {
-		return nil, fmt.Errorf("git diff --name-only %s: %v", ref, err)
-	}
-	untracked, _ := exec.Command("git", "-C", start, "ls-files", "--others", "--exclude-standard").Output()
-	dirs := map[string]bool{}
-	for _, name := range strings.Split(string(diff)+"\n"+string(untracked), "\n") {
-		if name = strings.TrimSpace(name); name != "" {
-			dirs[filepath.Dir(filepath.Join(top, filepath.FromSlash(name)))] = true
-		}
-	}
-	changed := map[string]bool{}
-	for _, sp := range scan {
-		if dirs[filepath.Clean(sp.Dir)] {
-			changed[sp.ImportPath] = true
-		}
-	}
-	// Dependents closure over the module-local import edges.
-	for grew := true; grew; {
-		grew = false
-		for _, sp := range scan {
-			if changed[sp.ImportPath] {
-				continue
-			}
-			for _, dep := range sp.LocalImports {
-				if changed[dep] {
-					changed[sp.ImportPath] = true
-					grew = true
-					break
-				}
-			}
-		}
-	}
-	return changed, nil
-}
-
-// filterAffected drops diagnostics for packages outside the -changed
-// set; a nil set keeps everything.
-func filterAffected(all map[string][]lint.Diagnostic, affected map[string]bool) {
-	if affected == nil {
-		return
-	}
-	for pkg := range all {
-		if !affected[pkg] {
-			delete(all, pkg)
-		}
-	}
-}
-
-// toolSalt keys the lint cache to this build of the tool: the hash of
-// the executable itself, so a rebuild that could change any verdict
-// invalidates every entry.
-func toolSalt() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown-tool"
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "unknown-tool"
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%02x", sum)
+	return emit(all, jsonOut, stdout, stderr)
 }
 
 // emit prints diagnostics in the chosen format; exit status 2 when any
 // exist. JSON mode always writes the payload — an empty object on a
 // clean run — so redirecting it produces a findings artifact either
-// way; a non-nil timing adds it as the payload's "timing" entry. Text
-// mode prints diagnostics only.
-func emit(byPkg map[string][]lint.Diagnostic, jsonOut bool, timing *runTiming, stdout, stderr io.Writer) int {
+// way. Text mode prints diagnostics only.
+func emit(byPkg map[string][]lint.Diagnostic, jsonOut bool, stdout, stderr io.Writer) int {
 	n := 0
 	for _, ds := range byPkg {
 		n += len(ds)
@@ -531,9 +281,6 @@ func emit(byPkg map[string][]lint.Diagnostic, jsonOut bool, timing *runTiming, s
 				})
 			}
 			payload[pkg] = byAnalyzer
-		}
-		if timing != nil {
-			payload["timing"] = timing
 		}
 		out, _ := json.MarshalIndent(payload, "", "\t")
 		stdout.Write(append(out, '\n'))

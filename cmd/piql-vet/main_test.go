@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -84,12 +83,10 @@ func LeakyHold(g *lockutil.Guard, bad bool) {
 }
 
 // TestErrTaxonomyCrossPackageFacts is the errtaxonomy acceptance test
-// for cross-package facts, and for facts replayed from the cache: kv's
-// Put may return a transient error, and eng compares Put's error with
-// ==, so eng's diagnostic must cite the fact from kv. A cold -cache run
-// analyzes both packages; after an edit to eng alone the warm run
-// replays kv, so the fact reaches eng only through kv's decoded cache
-// entry.
+// for cross-package facts: kv's Put may return a transient error, and
+// eng compares Put's error with ==, so eng's diagnostic must cite the
+// fact from kv. Once eng matches with errors.Is the tree is clean, and
+// -json still writes a payload: that file is the make ci artifact.
 func TestErrTaxonomyCrossPackageFacts(t *testing.T) {
 	tmp := t.TempDir()
 	eng := `package eng
@@ -130,31 +127,34 @@ func Put(node int) error {
 `,
 		"eng/eng.go": eng,
 	})
-	cache := filepath.Join(tmp, "lintcache")
-	check := func(analyzed, replayed int) {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-cache", cache, "-json", "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-			t.Fatalf("exited %d (want 2)\n%s%s", code, stdout.String(), stderr.String())
-		}
-		var payload struct {
-			Eng    map[string][]struct{ Posn, Message string } `json:"piql/eng"`
-			Timing runTiming                                   `json:"timing"`
-		}
-		if err := json.Unmarshal(stdout.Bytes(), &payload); err != nil {
-			t.Fatalf("-json payload: %v\n%s", err, stdout.String())
-		}
-		diags := payload.Eng["errtaxonomy"]
-		if len(diags) != 1 || !strings.Contains(diags[0].Message, "per fact from piql/kv") {
-			t.Fatalf("eng's diagnostic does not cite kv's fact:\n%s", stdout.String())
-		}
-		if payload.Timing.Analyzed != analyzed || payload.Timing.Replayed != replayed {
-			t.Fatalf("timing %+v, want %d analyzed and %d replayed", payload.Timing, analyzed, replayed)
-		}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-json", "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exited %d (want 2)\n%s%s", code, stdout.String(), stderr.String())
 	}
-	check(2, 0)
-	writeTree(t, tmp, map[string]string{"eng/eng.go": eng + "\n// touched\n"})
-	check(1, 1)
+	var payload struct {
+		Eng map[string][]struct{ Posn, Message string } `json:"piql/eng"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &payload); err != nil {
+		t.Fatalf("-json payload: %v\n%s", err, stdout.String())
+	}
+	diags := payload.Eng["errtaxonomy"]
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "per fact from piql/kv") {
+		t.Fatalf("eng's diagnostic does not cite kv's fact:\n%s", stdout.String())
+	}
+
+	writeTree(t, tmp, map[string]string{"eng/eng.go": strings.NewReplacer(
+		`import "piql/kv"`, "import (\n\t\"errors\"\n\n\t\"piql/kv\"\n)",
+		"err == kv.ErrTransient", "errors.Is(err, kv.ErrTransient)",
+	).Replace(eng)})
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-json", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
+		t.Fatalf("clean tree exited %d:\n%s%s", code, stdout.String(), stderr.String())
+	}
+	var clean map[string]any
+	if err := json.Unmarshal(stdout.Bytes(), &clean); err != nil || len(clean) != 0 {
+		t.Fatalf("clean -json run did not emit an empty JSON payload (%v):\n%s", err, stdout.String())
+	}
 }
 
 // TestUnknownFlag: a flag piql-vet does not define is an operational
@@ -163,6 +163,19 @@ func TestUnknownFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-standalone", "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("unknown flag exited %d (want 1):\n%s", code, stderr.String())
+	}
+}
+
+// TestUpdateNeedsEscapeBudget: -update alone would run the module
+// analysis and leave escape.budget as it was, so it is an operational
+// error that names the flag it needs.
+func TestUpdateNeedsEscapeBudget(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-update", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-update without -escapebudget exited %d (want 1):\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-escapebudget") {
+		t.Fatalf("error does not name -escapebudget:\n%s", stderr.String())
 	}
 }
 
@@ -247,89 +260,6 @@ func DecodeRow(b []byte) (int, []byte) {
 	}
 }
 
-// TestStandaloneCacheReplay drives the incremental mode: a cold run
-// computes and caches per-package results, a warm run replays them
-// byte-for-byte (diagnostics included) without typechecking, and an
-// edit invalidates exactly the edited package.
-func TestStandaloneCacheReplay(t *testing.T) {
-	tmp := t.TempDir()
-	leaky := `package g
-
-import "sync"
-
-type G struct{ mu sync.Mutex }
-
-func Leak(g *G, bad bool) {
-	g.mu.Lock()
-	if bad {
-		return
-	}
-	g.mu.Unlock()
-}
-`
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"g/g.go": leaky,
-	})
-	cache := filepath.Join(tmp, "lintcache")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("cold run exited %d (want 2: the fixture leaks)\n%s", code, stderr.String())
-	}
-	cold := stderr.String()
-	if !strings.Contains(cold, "releasepath") {
-		t.Fatalf("cold run missing the releasepath finding:\n%s", cold)
-	}
-	entries, err := os.ReadDir(cache)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cold run wrote no cache entries: %v", err)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("warm run exited %d (want 2)\n%s", code, stderr.String())
-	}
-	if warm := stderr.String(); warm != cold {
-		t.Fatalf("warm run did not replay the cold diagnostics\ncold: %s\nwarm: %s", cold, warm)
-	}
-
-	// Fix the leak: the package's key changes, the stale entry is
-	// bypassed, and the tree goes clean.
-	writeTree(t, tmp, map[string]string{"g/g.go": strings.Replace(leaky, "if bad {\n\t\treturn\n\t}\n", "", 1)})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("fixed tree exited %d:\n%s", code, stderr.String())
-	}
-
-	// A corrupt cache entry is recomputed, not trusted.
-	entries, _ = os.ReadDir(cache)
-	for _, e := range entries {
-		if err := os.WriteFile(filepath.Join(cache, e.Name()), []byte("{torn"), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("corrupt cache entries broke the run (%d):\n%s", code, stderr.String())
-	}
-
-	// JSON mode always emits a findings payload, clean tree included —
-	// that is what make ci archives as the artifact.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-cache", cache, "-json", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("json run exited %d:\n%s", code, stderr.String())
-	}
-	var payload map[string]any
-	if err := json.Unmarshal(stdout.Bytes(), &payload); err != nil {
-		t.Fatalf("clean -json run did not emit a JSON payload: %v\n%s", err, stdout.String())
-	}
-}
-
 // TestAtomicMixCrossPackageFacts is the atomicmix acceptance test for
 // cross-package facts: a kvstore-like package whose only atomic
 // discipline is a function-style atomic.AddUint64 on a plain uint64
@@ -373,170 +303,6 @@ func Report(s *kv.Stats) uint64 {
 		!strings.Contains(out, "per fact from piql/kv") ||
 		!strings.Contains(out, "atomicmix") {
 		t.Fatalf("diagnostic does not witness the imported atomic field:\n%s", out)
-	}
-}
-
-// TestStandaloneCacheDirectiveEdit pins the cache-invalidation contract
-// for suppression directives: an edit whose only change is adding or
-// removing a //lint:allow comment still changes the package's content
-// hash, so the warm run recomputes instead of replaying the stale
-// verdict. (A cache keyed on anything that skipped comments would
-// replay the pre-directive diagnostics forever.)
-func TestStandaloneCacheDirectiveEdit(t *testing.T) {
-	tmp := t.TempDir()
-	leaky := `package g
-
-import "sync"
-
-type G struct{ mu sync.Mutex }
-
-// Leak returns holding the guard on the bad path.
-func Leak(g *G, bad bool) {
-	g.mu.Lock()
-	if bad {
-		return
-	}
-	g.mu.Unlock()
-}
-`
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"g/g.go": leaky,
-	})
-	cache := filepath.Join(tmp, "lintcache")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("cold run exited %d (want 2: the fixture leaks)\n%s", code, stderr.String())
-	}
-	cold := stderr.String()
-	if !strings.Contains(cold, "releasepath") {
-		t.Fatalf("cold run missing the releasepath finding:\n%s", cold)
-	}
-
-	// The only edit: a justified //lint:allow in Leak's doc comment.
-	allowed := strings.Replace(leaky,
-		"// Leak returns holding the guard on the bad path.\n",
-		"// Leak returns holding the guard on the bad path.\n//\n//lint:allow releasepath — intentional hold, released by the caller\n", 1)
-	writeTree(t, tmp, map[string]string{"g/g.go": allowed})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("directive-only edit replayed the stale verdict (%d):\n%s", code, stderr.String())
-	}
-
-	// Reverting the directive restores the original content hash: the
-	// warm run replays the first entry byte-for-byte, diagnostics
-	// included.
-	writeTree(t, tmp, map[string]string{"g/g.go": leaky})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-cache", cache, "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("reverted tree exited %d (want 2)\n%s", code, stderr.String())
-	}
-	if warm := stderr.String(); warm != cold {
-		t.Fatalf("reverted tree did not replay the cold diagnostics\ncold: %s\nwarm: %s", cold, warm)
-	}
-}
-
-// TestStandaloneChangedFilter drives -changed in a scratch git
-// checkout: two packages each carrying a violation, with only one
-// edited since the base commit — the edited package reports, the
-// untouched one stays silent, and a fully committed tree reports
-// nothing at all.
-func TestStandaloneChangedFilter(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not available")
-	}
-	tmp := t.TempDir()
-	leak := func(pkg string) string {
-		return `package ` + pkg + `
-
-import "sync"
-
-type G struct{ mu sync.Mutex }
-
-func Leak(g *G, bad bool) {
-	g.mu.Lock()
-	if bad {
-		return
-	}
-	g.mu.Unlock()
-}
-`
-	}
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"a/a.go": leak("a"),
-		"b/b.go": leak("b"),
-	})
-	git := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command("git", append([]string{"-C", tmp,
-			"-c", "user.name=piql", "-c", "user.email=piql@test"}, args...)...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("git %v: %v\n%s", args, err, out)
-		}
-	}
-	git("init", "-q")
-	git("add", ".")
-	git("commit", "-q", "-m", "base")
-
-	// Nothing differs from HEAD: both violations are filtered out.
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-changed", "HEAD", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("committed tree exited %d:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "no module packages changed") {
-		t.Fatalf("committed tree should report an empty changed set:\n%s", stderr.String())
-	}
-
-	// Edit only a: its violation reports, b's identical one does not.
-	writeTree(t, tmp, map[string]string{"a/a.go": leak("a") + "\n// touched\n"})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-changed", "HEAD", "-C", tmp, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("edited tree exited %d (want 2)\n%s", code, stderr.String())
-	}
-	out := stderr.String()
-	if !strings.Contains(out, filepath.Join("a", "a.go")) {
-		t.Fatalf("edited package's finding missing:\n%s", out)
-	}
-	if strings.Contains(out, filepath.Join("b", "b.go")) {
-		t.Fatalf("untouched package's finding not filtered:\n%s", out)
-	}
-}
-
-// TestDataflowDump smoke-tests the -dataflow debug printer: a known
-// function dumps its def-use chains, an unknown name is an error with
-// a usage hint.
-func TestDataflowDump(t *testing.T) {
-	tmp := t.TempDir()
-	writeTree(t, tmp, map[string]string{
-		"go.mod": "module piql\n\ngo 1.24\n",
-		"g/g.go": `package g
-
-func Twice(n int) int {
-	m := n + n
-	return m
-}
-`,
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-dataflow", "Twice", "-C", tmp, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-dataflow Twice exited %d:\n%s", code, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "Twice") || !strings.Contains(out, "m") {
-		t.Fatalf("dump does not show the function's def-use chains:\n%s", out)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-dataflow", "NoSuchFunc", "-C", tmp, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("unknown -dataflow name exited %d (want 1)", code)
-	}
-	if !strings.Contains(stderr.String(), "no function matches") {
-		t.Fatalf("unknown name should print a hint:\n%s", stderr.String())
 	}
 }
 

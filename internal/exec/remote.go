@@ -108,18 +108,19 @@ func scanBounds(n *core.IndexScan, params []value.Value) (start, end []byte, err
 	return start, end, nil
 }
 
-// fetchRange reads up to limit entries of [start, end), honoring the
-// strategy: Lazy fetches one entry per request; Simple fetches the whole
-// batch in one request, walking partitions sequentially; Parallel
-// scatter-gathers the per-partition scans concurrently. limit <= 0 means
-// "everything" (cost-based unbounded plans only).
-func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) []kvstore.KV {
+// fetchRange reads up to limit entries of [start, end) through cl,
+// honoring the strategy: Lazy fetches one entry per request; Simple
+// fetches the whole batch in one request, walking partitions
+// sequentially; Parallel scatter-gathers the per-partition scans
+// concurrently. limit <= 0 means "everything" (cost-based unbounded
+// plans only).
+func (ctx *Ctx) fetchRange(cl *kvstore.Client, start, end []byte, limit int, reverse bool) []kvstore.KV {
 	req := kvstore.RangeRequest{Start: start, End: end, Limit: limit, Reverse: reverse}
 	switch {
-	case e.ctx.Strategy == Parallel:
-		return e.ctx.Client.GetRangeScatter(req)
-	case e.ctx.Strategy != Lazy || limit <= 0:
-		return e.ctx.Client.GetRange(req)
+	case ctx.Strategy == Parallel:
+		return cl.GetRangeScatter(req)
+	case ctx.Strategy != Lazy || limit <= 0:
+		return cl.GetRange(req)
 	}
 	// Tuple-at-a-time walk: each fetched key becomes the next request's
 	// start bound. The successor key lives in a scratch buffer reused
@@ -129,12 +130,12 @@ func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) []kvst
 	// buffer between iterations is safe: GetRange reads its bounds only
 	// for the duration of the call.
 	var buf []byte
-	if e.ctx.Scratch != nil {
-		buf = e.ctx.Scratch.key
+	if ctx.Scratch != nil {
+		buf = ctx.Scratch.key
 	}
 	var out []kvstore.KV
 	for len(out) < limit {
-		kvs := e.ctx.Client.GetRange(kvstore.RangeRequest{Start: start, End: end, Limit: 1, Reverse: reverse})
+		kvs := cl.GetRange(kvstore.RangeRequest{Start: start, End: end, Limit: 1, Reverse: reverse})
 		if len(kvs) == 0 {
 			break
 		}
@@ -147,8 +148,8 @@ func (e *executor) fetchRange(start, end []byte, limit int, reverse bool) []kvst
 			start = buf
 		}
 	}
-	if e.ctx.Scratch != nil {
-		e.ctx.Scratch.key = buf
+	if ctx.Scratch != nil {
+		ctx.Scratch.key = buf
 	}
 	return out
 }
@@ -180,7 +181,7 @@ func (e *executor) runIndexScan(n *core.IndexScan) ([]value.Row, error) {
 			limit = n.DataStopCard
 		}
 	}
-	kvs := e.fetchRange(start, end, limit, reverse)
+	kvs := e.ctx.fetchRange(e.ctx.Client, start, end, limit, reverse)
 	// A full batch may have entries behind it even when the rows built
 	// from it fall short of a page (see derefEntries, Residual).
 	if ord == e.driverOrd && limit > 0 && len(kvs) == limit {
@@ -345,33 +346,20 @@ func (e *executor) runSortedJoin(n *core.SortedIndexJoin, limit int) ([]value.Ro
 		scans[i] = perKey{prefix: prefix, start: start, end: end}
 	}
 
-	fetch := func(sub *kvstore.Client, i int, scatter bool) {
-		req := kvstore.RangeRequest{
-			Start:   scans[i].start,
-			End:     scans[i].end,
-			Limit:   n.PerKeyLimit,
-			Reverse: !n.Ascending,
-		}
-		if scatter {
-			scans[i].kvs = sub.GetRangeScatter(req)
-		} else {
-			scans[i].kvs = sub.GetRange(req)
-		}
-	}
-	switch e.ctx.Strategy {
-	case Parallel:
+	ctx := e.ctx
+	if ctx.Strategy == Parallel {
 		// All K per-key scans concurrently, each itself scatter-gathering
-		// across the partitions its range spans.
-		e.ctx.Client.Parallel(len(scans), func(sub *kvstore.Client, i int) { fetch(sub, i, true) })
-	default:
+		// across the partitions its range spans. The branches capture
+		// ctx, not e: capturing e would move every query's executor to
+		// the heap.
+		ctx.Client.Parallel(len(scans), func(sub *kvstore.Client, i int) {
+			scans[i].kvs = ctx.fetchRange(sub, scans[i].start, scans[i].end, n.PerKeyLimit, !n.Ascending)
+		})
+	} else {
 		// Lazy and Simple both issue the per-key requests sequentially;
 		// Lazy additionally fetches tuple by tuple.
 		for i := range scans {
-			if e.ctx.Strategy == Lazy {
-				scans[i].kvs = e.fetchRange(scans[i].start, scans[i].end, n.PerKeyLimit, !n.Ascending)
-			} else {
-				fetch(e.ctx.Client, i, false)
-			}
+			scans[i].kvs = ctx.fetchRange(ctx.Client, scans[i].start, scans[i].end, n.PerKeyLimit, !n.Ascending)
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"piql/internal/sim"
@@ -498,7 +497,7 @@ func (cl *Client) multiGet(keys [][]byte, parallel bool) [][]byte {
 			cl.ids = append(cl.ids, id)
 		}
 	}
-	sortInts(cl.ids)
+	slices.Sort(cl.ids)
 	if parallel {
 		cl.Parallel(len(cl.ids), func(sub *Client, i int) { cl.fetchBatch(sub, cl.ids[i], keys, out) })
 	} else {
@@ -864,7 +863,7 @@ type RangeRequest struct {
 // call on this client writes to it.
 func (cl *Client) GetRange(req RangeRequest) []KV {
 	rt := cl.c.beginOp()
-	out := cl.getRangeOn(rt, req, func(p int) int { return cl.pickReplica(rt, p) })
+	out := cl.getRange(rt, req)
 	cl.c.endOp(rt)
 	return out
 }
@@ -1134,5 +1133,3 @@ func (cl *Client) child(proc *sim.Proc) *Client {
 		readQuorum: cl.readQuorum,
 	}
 }
-
-func sortInts(a []int) { sort.Ints(a) }

@@ -354,10 +354,7 @@ func buildInterproc(u *Unit, files []*ast.File) *Interproc {
 	ip.chanPrepass(files)
 	// Walk after registration so local calls resolve during the walk.
 	for _, fi := range append([]*funcInfo(nil), ip.funcs...) {
-		h := &held{}
-		if !ip.walkStmt(fi, fi.decl.Body, h) {
-			ip.recordExit(fi, fi.decl.Body.Rbrace, h)
-		}
+		(&flowWalker{ip: ip, fi: fi}).walkBody(fi.decl.Body, &held{})
 	}
 	ip.fixpoint()
 	// Dataflow prepasses after the walk: snapshot provenance needs the
@@ -716,34 +713,14 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 // ---------------------------------------------------------------------
 // The walk.
 //
-// Control flow lives in the shared branch-sensitive walker
-// (dataflow.go); this section is the held-lock client: *held is the
-// flowState, ipFlow supplies the statement/expression semantics.
+// Control flow lives in the branch-sensitive walker (dataflow.go);
+// this section is its held-lock semantics: what each statement,
+// loop head and select does to the held set and the function summary.
 
-func (h *held) cloneFlow() flowState            { return h.clone() }
-func (h *held) unionFlow(o flowState) flowState { return unionHeld(h, o.(*held)) }
-func (h *held) copyFlow(o flowState)            { *h = *o.(*held) }
-
-// ipFlow adapts one function's held-lock walk onto the shared walker.
-type ipFlow struct {
-	ip *Interproc
-	fi *funcInfo
-}
-
-// walkStmt drives the shared walker with this package's held-lock
-// client, preserving the pre-refactor entry point (walkCall reuses it
-// for immediately-invoked literals).
-func (ip *Interproc) walkStmt(fi *funcInfo, st ast.Stmt, h *held) bool {
-	w := &flowWalker{client: &ipFlow{ip: ip, fi: fi}}
-	return w.stmt(st, h)
-}
-
-func (c *ipFlow) flowExpr(e ast.Expr, fs flowState) {
-	c.ip.walkExpr(c.fi, e, fs.(*held))
-}
-
-func (c *ipFlow) leafStmt(w *flowWalker, st ast.Stmt, fs flowState) {
-	ip, fi, h := c.ip, c.fi, fs.(*held)
+// leafStmt handles a non-control-flow statement: expression, send,
+// assign, decl, inc/dec, defer, go.
+func (w *flowWalker) leafStmt(st ast.Stmt, h *held) {
+	ip, fi := w.ip, w.fi
 	switch s := st.(type) {
 	case *ast.ExprStmt:
 		ip.walkExpr(fi, s.X, h)
@@ -801,15 +778,17 @@ func (c *ipFlow) leafStmt(w *flowWalker, st ast.Stmt, fs flowState) {
 	}
 }
 
-func (c *ipFlow) forObs(s *ast.ForStmt, fs flowState) {
+// forObs, rangeObs and selectObs observe a loop or select head before
+// its body is walked.
+func (w *flowWalker) forObs(s *ast.ForStmt) {
 	if s.Cond == nil && !loopExits(s.Body) {
-		c.fi.parkCands = append(c.fi.parkCands,
-			"infinite for-loop with no break or return ("+c.ip.shortPos(s.For)+")")
+		w.fi.parkCands = append(w.fi.parkCands,
+			"infinite for-loop with no break or return ("+w.ip.shortPos(s.For)+")")
 	}
 }
 
-func (c *ipFlow) rangeObs(s *ast.RangeStmt, fs flowState) {
-	ip, fi, h := c.ip, c.fi, fs.(*held)
+func (w *flowWalker) rangeObs(s *ast.RangeStmt, h *held) {
+	ip, fi := w.ip, w.fi
 	if t := ip.typeOf(s.X); t != nil {
 		if _, isChan := t.Underlying().(*types.Chan); isChan {
 			park := ""
@@ -821,8 +800,8 @@ func (c *ipFlow) rangeObs(s *ast.RangeStmt, fs flowState) {
 	}
 }
 
-func (c *ipFlow) selectObs(s *ast.SelectStmt, fs flowState) {
-	ip, fi, h := c.ip, c.fi, fs.(*held)
+func (w *flowWalker) selectObs(s *ast.SelectStmt, h *held) {
+	ip, fi := w.ip, w.fi
 	hasDefault := false
 	hasEscape := false
 	for _, cl := range s.Body.List {
@@ -849,23 +828,15 @@ func (c *ipFlow) selectObs(s *ast.SelectStmt, fs flowState) {
 	}
 }
 
-func (c *ipFlow) returnObs(s *ast.ReturnStmt, fs flowState) {
-	c.ip.recordReturn(c.fi, s)
-}
-
-func (c *ipFlow) exitPath(pos token.Pos, fs flowState) {
-	c.ip.recordExit(c.fi, pos, fs.(*held))
-}
-
-// flowComm walks a select case's communication statement without
+// comm walks a select case's communication statement without
 // recording it as a standalone blocking operation: the select itself
 // is the block (already recorded, with a default clause making it
 // non-blocking), so routing the comm through the walker's leaf path
 // would fabricate a "channel send/receive" observation inside
 // select{…: default:} shapes. Operand subexpressions still get walked
 // (they can contain calls).
-func (c *ipFlow) flowComm(w *flowWalker, st ast.Stmt, fs flowState) {
-	ip, fi, h := c.ip, c.fi, fs.(*held)
+func (w *flowWalker) comm(st ast.Stmt, h *held) {
+	ip, fi := w.ip, w.fi
 	switch s := st.(type) {
 	case nil:
 	case *ast.SendStmt:
@@ -876,7 +847,7 @@ func (c *ipFlow) flowComm(w *flowWalker, st ast.Stmt, fs flowState) {
 			ip.walkExpr(fi, u.X, h)
 			return
 		}
-		w.stmt(s, fs)
+		w.stmt(s, h)
 	case *ast.AssignStmt:
 		for _, e := range s.Lhs {
 			ip.walkExpr(fi, e, h)
@@ -889,7 +860,7 @@ func (c *ipFlow) flowComm(w *flowWalker, st ast.Stmt, fs flowState) {
 			}
 		}
 	default:
-		w.stmt(st, fs)
+		w.stmt(st, h)
 	}
 }
 
@@ -1042,10 +1013,7 @@ func (ip *Interproc) pseudoFunc(parent *funcInfo, lit *ast.FuncLit, kind string)
 		claimNames:  map[string]string{},
 	}
 	ip.funcs = append(ip.funcs, fi)
-	h := &held{}
-	if !ip.walkStmt(fi, lit.Body, h) {
-		ip.recordExit(fi, lit.Body.Rbrace, h)
-	}
+	(&flowWalker{ip: ip, fi: fi}).walkBody(lit.Body, &held{})
 	return fi
 }
 
@@ -1108,7 +1076,7 @@ func (ip *Interproc) walkCall(fi *funcInfo, call *ast.CallExpr, h *held) {
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		// Immediately-invoked literal: runs inline, same held set.
-		ip.walkStmt(fi, lit.Body, h)
+		(&flowWalker{ip: ip, fi: fi}).stmt(lit.Body, h)
 		return
 	}
 	fn := calleeOf(ip.info, call)

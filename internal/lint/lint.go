@@ -126,8 +126,8 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 // Analyzers is the registry cmd/piql-vet and the tests run: the three
 // syntactic invariants, the five interprocedural ones (lockorder,
 // holdblock, errtaxonomy, goroleak, releasepath), the build-diagnostic
-// escapebudget, and the three dataflow analyzers built on the dataflow
-// core (atomicmix, snapshotescape, cancelpath).
+// escapebudget, and the two dataflow analyzers built on the value-
+// provenance engine (atomicmix, snapshotescape).
 var Analyzers = []*Analyzer{
 	RoutingClaim,
 	EnvelopeIntegrity,
@@ -140,7 +140,6 @@ var Analyzers = []*Analyzer{
 	EscapeBudget,
 	AtomicMix,
 	SnapshotEscape,
-	CancelPath,
 }
 
 // ByName returns the registered analyzer with the given name, or nil.

@@ -12,18 +12,14 @@ import (
 )
 
 // Parse-only module scan, the driver's one package enumeration: it
-// yields every package's file list and module-local import edges, so
-// the driver can process packages in dependency order and key cache
-// entries by content + dependency facts without paying for a typecheck
-// of packages whose cached results will be replayed.
+// yields every package's module-local import edges, so the driver can
+// typecheck and analyze packages in dependency order and every
+// package's facts exist before its dependents read them.
 
 // ScannedPackage is one package found by ScanModule.
 type ScannedPackage struct {
 	Dir        string
 	ImportPath string
-	// Files are the absolute paths of the package's non-test .go
-	// files, sorted.
-	Files []string
 	// LocalImports are the module-local packages it imports, sorted.
 	LocalImports []string
 }
@@ -84,12 +80,10 @@ func (l *Loader) ScanModule() ([]*ScannedPackage, error) {
 			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 				continue
 			}
-			full := filepath.Join(dir, name)
-			f, err := parser.ParseFile(fset, full, nil, parser.ImportsOnly)
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
 			if err != nil {
 				return nil, err
 			}
-			sp.Files = append(sp.Files, full)
 			for _, imp := range f.Imports {
 				if p, err := strconv.Unquote(imp.Path.Value); err == nil &&
 					(p == l.ModulePath || strings.HasPrefix(p, l.ModulePath+"/")) {
@@ -97,7 +91,6 @@ func (l *Loader) ScanModule() ([]*ScannedPackage, error) {
 				}
 			}
 		}
-		sort.Strings(sp.Files)
 		for p := range imports {
 			sp.LocalImports = append(sp.LocalImports, p)
 		}

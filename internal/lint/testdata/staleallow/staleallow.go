@@ -37,6 +37,7 @@ func (c *cluster) stale() int64 {
 func (c *cluster) misnamed() int64 {
 	//lint:allow simslep — typo of simsleep // want `//lint:allow simslep names no registered analyzer`
 	//lint:allow leaseswap — folded into atomicmix // want `//lint:allow leaseswap names no registered analyzer`
+	//lint:allow cancelpath — retired // want `//lint:allow cancelpath names no registered analyzer`
 	return 7
 }
 
